@@ -322,26 +322,25 @@ def pid_alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     except PermissionError:
-        return True
+        pass
     return True
 
 
 # -- child processes ---------------------------------------------------------
 
 
-def run_child(args: list[str], work: Path, timeout: float) -> tuple[int, float, object]:
-    """Run a benchmark child to completion; ``(status, start_wall, rusage)``.
+def run_child(args: list[str], work: Path, timeout: float) -> tuple[int, float]:
+    """Run a benchmark child to completion; ``(exit status, start wall time)``.
 
-    The child is reaped with :func:`os.wait4` so its own resource usage
-    (CPU, peak RSS) can be read; on timeout it is killed and reaped.
+    On timeout the child is killed and reaped.
     """
     start_wall = time.time()
     proc = subprocess.Popen(
         [sys.executable, *args], env=child_env(work), cwd=str(ROOT),
         stdout=subprocess.DEVNULL,
     )
-    status, usage = reap(proc, timeout)
-    return status, start_wall, usage
+    status, _ = reap(proc, timeout)
+    return status, start_wall
 
 
 def reap(proc: subprocess.Popen, timeout: float) -> tuple[int, object]:

@@ -142,7 +142,7 @@ def run_batch(name: str, inputs, work: Path, seconds: float, tally: Tally,
             "store": str(rep_dir / "store"), "out": str(rep_dir),
             "lookups": LOOKUPS_PER_REP, "seed": inputs.seed * 1000 + index,
         }))
-        status, start_wall, _ = common.run_child(
+        status, start_wall = common.run_child(
             [str(HERE / "rep.py"), str(cfg)], work, _remaining(deadline)
         )
         index += 1
@@ -206,7 +206,7 @@ def run_layers(inputs, work: Path, own_job: dict, own_kind: str,
         "own_kind": own_kind, "seq": SEQ_JOB, "peer": peer, "out": str(out),
         "seed": inputs.seed,
     }))
-    status, _, _ = common.run_child(
+    status, _ = common.run_child(
         [str(HERE / "layers.py"), str(cfg)], work, _remaining(deadline)
     )
     if not tally.check(status == 0, f"traced run exits 0 (got {status})"):
