@@ -17,7 +17,6 @@ import signal
 import statistics
 import subprocess
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -297,13 +296,6 @@ def check_in_memory_hep(tally: Tally, graph, parts, tau: float) -> None:
     )
 
 
-def parts_digest(parts) -> str:
-    """sha256 of an assignment array's bytes."""
-    import numpy as np
-
-    return hashlib.sha256(np.ascontiguousarray(parts).tobytes()).hexdigest()
-
-
 # -- leaks -------------------------------------------------------------------
 
 
@@ -329,35 +321,25 @@ def pid_alive(pid: int) -> bool:
 # -- child processes ---------------------------------------------------------
 
 
-def run_child(args: list[str], work: Path, timeout: float) -> tuple[int, float]:
-    """Run a benchmark child to completion; ``(exit status, start wall time)``.
+def run_child(args: list[str], work: Path, timeout: float) -> int:
+    """Run a benchmark child to completion; its exit status.
 
     On timeout the child is killed and reaped.
     """
-    start_wall = time.time()
     proc = subprocess.Popen(
         [sys.executable, *args], env=child_env(work), cwd=str(ROOT),
         stdout=subprocess.DEVNULL,
     )
-    status, _ = reap(proc, timeout)
-    return status, start_wall
+    return reap(proc, timeout)
 
 
-def reap(proc: subprocess.Popen, timeout: float) -> tuple[int, object]:
-    """Wait for ``proc`` (killing it after ``timeout`` s); exit code + rusage."""
-    deadline = time.monotonic() + timeout
-    while True:
-        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-        if pid:
-            break
-        if time.monotonic() > deadline:
-            proc.send_signal(signal.SIGKILL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            break
-        time.sleep(0.01)
-    code = os.waitstatus_to_exitcode(status)
-    proc.returncode = code
-    return code, usage
+def reap(proc: subprocess.Popen, timeout: float) -> int:
+    """Wait for ``proc``, killing it after ``timeout`` s; its exit code."""
+    try:
+        return proc.wait(timeout)
+    except subprocess.TimeoutExpired:
+        proc.send_signal(signal.SIGKILL)
+        return proc.wait()
 
 
 def read_json(path: Path):

@@ -1,7 +1,7 @@
 """Traced run, in a fresh process: ``python3 layers.py CONFIG.json``.
 
-Spans are recorded from the benchmark's own code, around calls into
-each layer's public functions; nothing under ``src/`` is changed.  The
+Spans are opened from the benchmark's own code, around calls into each
+layer's public functions; nothing under ``src/`` is changed.  The
 module wraps, for the duration of this process only:
 
 * every stage in :data:`repro.runtime.STAGE_REGISTRY` (the plan's
@@ -12,17 +12,26 @@ module wraps, for the duration of this process only:
   (partition.hdrf), ``run_bsp_shared`` (stream.workers), and the warm
   pool's ``start``/``shutdown`` (stream.workers / parallel.shm).
 
-The workload's own job runs twice — once with the recorder off (the
-tracing-overhead baseline) and once traced.  So that every layer is
-measured on every workload's input, two reference jobs run traced on
-the same manifest: sequential informed HDRF (the base of
+Each wrapper opens ``repro.obs.get_tracer().span(name)``.  A traced job
+runs under a collect-mode :class:`repro.obs.Tracer`, so the records
+also hold the program's own spans (``partition``, ``select_tau``,
+``split_pass``, ``phase_one``, ``stream_pass``, ``count_pass``,
+``metrics_pass``, pool and worker spans); the untraced baseline runs
+under the default ``NULL_TRACER``.  ``obs.overhead_ratio`` is therefore
+the program's tracer plus the wrappers against the no-op tracer.
+
+The workload's own job runs once to capture the first NE++ and HDRF
+call arguments (untimed), then ``OVERHEAD_PAIRS`` times untraced (the
+overhead baseline) and traced, in alternating order so that neither
+side always runs second; the last traced run supplies the own job's
+spans.  Two reference jobs then run traced on the
+same manifest: sequential informed HDRF (the base of
 ``bsp.speedup_vs_seq``, and the ``hdrf`` layer when the own job streams
-no h2h edge) and the other pipeline shape (HEP at the tight budget for
-``hdrf_2w``, 2-worker HDRF for the HEP workloads).  Kernel rates that
-no plan stage exposes in the coordinator (reader sweep, the BSP batch
-scorer, store and artifact calls) and allocation peaks (tracemalloc,
-which slows the code it watches several-fold) are timed by direct calls
-after the runs, so they never inflate a span.
+no h2h edge) and 2-worker HDRF (the BSP, pool and worker layers).
+Kernel rates that no plan stage exposes in the coordinator (reader
+sweep, the BSP batch scorer, store and artifact calls) and allocation
+peaks (tracemalloc, which slows the code it watches several-fold, over
+the captured calls) are timed by direct calls after the runs.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ import statistics
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
 from pathlib import Path
 
 from rep import build_spec
@@ -42,113 +50,114 @@ from rep import build_spec
 HDRF_ALLOC_EDGES = 8192
 #: point lookups per kind in the artifact probe
 PROBE_LOOKUPS = 2000
+#: untraced/traced pairs of the own job; obs.overhead_ratio is the median
+#: ratio, since one pair moves with the host by more than the overhead
+OVERHEAD_PAIRS = 5
+#: names of the spans the wrappers open (the program's spans are others)
+LAYER_SPANS: set[str] = set()
+#: first-call argument copies for the allocation probes; a dict only
+#: during the capture run, so no timed run pays for the copies
+_captured: dict | None = None
 
 
-class Recorder:
-    """In-memory span list with a nesting stack; written out at the end."""
-
-    def __init__(self) -> None:
-        self.spans: list[dict] = []
-        self._stack: list[dict] = []
-        self.enabled = True
-        #: first-call argument copies kept for the allocation probes
-        self.captured: dict[str, tuple] = {}
-
-    @contextmanager
-    def span(self, name: str):
-        """Time one call; yields the span's counter dict."""
-        if not self.enabled:
-            yield {}
-            return
-        record = {
-            "name": name,
-            "id": len(self.spans),
-            "parent": self._stack[-1]["id"] if self._stack else None,
-            "counts": {},
-            "start": time.perf_counter(),
-        }
-        self.spans.append(record)
-        self._stack.append(record)
-        try:
-            yield record["counts"]
-        finally:
-            record["end"] = time.perf_counter()
-            self._stack.pop()
-
-    def take(self) -> list[dict]:
-        """Hand over the spans recorded so far and start a fresh list."""
-        spans, self.spans = self.spans, []
-        return spans
+# -- span records ------------------------------------------------------------
 
 
-def _duration(span: dict) -> float:
-    return span["end"] - span["start"]
+def _layer_parent(records: dict[int, dict], record: dict) -> int | None:
+    """Id of the nearest enclosing wrapper span of ``record``, if any."""
+    parent = record.get("parent")
+    while parent is not None:
+        above = records.get(parent)
+        if above is None:
+            return None
+        if above["name"] in LAYER_SPANS:
+            return parent
+        parent = above.get("parent")
+    return None
+
+
+def layer_spans(records: list[dict]) -> list[dict]:
+    """The wrapper spans of a drained trace, each with its ``layer_parent``."""
+    by_id = {r["id"]: r for r in records}
+    return [
+        {**r, "layer_parent": _layer_parent(by_id, r)}
+        for r in records if r["name"] in LAYER_SPANS
+    ]
 
 
 def total(spans: list[dict], name: str) -> float:
     """Summed duration of every span called ``name``."""
-    return sum(_duration(s) for s in spans if s["name"] == name)
-
-
-def self_times(spans: list[dict]) -> dict[str, float]:
-    """Per span name: duration minus the part its child spans cover."""
-    child = {}
-    for s in spans:
-        if s["parent"] is not None:
-            child[s["parent"]] = child.get(s["parent"], 0.0) + _duration(s)
-    out: dict[str, float] = {}
-    for s in spans:
-        out[s["name"]] = out.get(s["name"], 0.0) + _duration(s) - child.get(
-            s["id"], 0.0
-        )
-    return out
-
-
-def top_level(spans: list[dict]) -> float:
-    """Summed duration of the spans with no parent span."""
-    return sum(_duration(s) for s in spans if s["parent"] is None)
+    return sum(s["dur_s"] for s in spans if s["name"] == name)
 
 
 def counted(spans: list[dict], name: str, counter: str) -> float:
     """Summed ``counter`` over every span called ``name``."""
-    return sum(s["counts"].get(counter, 0) for s in spans if s["name"] == name)
+    return sum(s["counters"].get(counter, 0) for s in spans if s["name"] == name)
+
+
+def self_times(spans: list[dict]) -> dict[str, float]:
+    """Per layer: duration minus the part its nested layer spans cover."""
+    nested: dict[int, float] = {}
+    for s in spans:
+        if s["layer_parent"] is not None:
+            nested[s["layer_parent"]] = nested.get(s["layer_parent"], 0.0) + s["dur_s"]
+    out: dict[str, float] = {}
+    for s in spans:
+        out[s["name"]] = out.get(s["name"], 0.0) + s["dur_s"] - nested.get(s["id"], 0.0)
+    return out
+
+
+def top_level(spans: list[dict]) -> float:
+    """Summed duration of the layer spans no other layer span encloses."""
+    return sum(s["dur_s"] for s in spans if s["layer_parent"] is None)
+
+
+def program_totals(records: list[dict]) -> dict[str, float]:
+    """Per name, summed duration of the program's own spans (workers' too)."""
+    out: dict[str, float] = {}
+    for r in records:
+        if r["name"] not in LAYER_SPANS:
+            out[r["name"]] = out.get(r["name"], 0.0) + r["dur_s"]
+    return out
 
 
 # -- instrumentation ---------------------------------------------------------
 
 
-def _spanned(rec: Recorder, name: str, fn, on_call=None):
-    """``fn`` wrapped in a span; ``on_call(rec, counts, args, kwargs)`` runs first."""
+def _spanned(name: str, fn, on_call=None):
+    """``fn`` wrapped in a span; ``on_call(span, args, kwargs)`` runs first."""
+    from repro.obs import get_tracer
+
+    LAYER_SPANS.add(name)
 
     def wrapper(*args, **kwargs):
-        with rec.span(name) as counts:
-            if on_call is not None and rec.enabled:
-                on_call(rec, counts, args, kwargs)
+        with get_tracer().span(name) as span:
+            if on_call is not None:
+                on_call(span, args, kwargs)
             return fn(*args, **kwargs)
 
     return wrapper
 
 
-def _wrap(rec: Recorder, owner, attr: str, name: str, on_call=None,
-          as_static=False):
-    """Replace ``owner.attr`` by a span-recording wrapper; returns the original."""
+def _wrap(owner, attr: str, name: str, on_call=None, as_static=False):
+    """Replace ``owner.attr`` by a span-opening wrapper; returns the original."""
     original = getattr(owner, attr)
-    wrapper = _spanned(rec, name, original, on_call)
+    wrapper = _spanned(name, original, on_call)
     setattr(owner, attr, staticmethod(wrapper) if as_static else wrapper)
     return original
 
 
-def _capture_ne_pp(rec: Recorder, counts, args, kwargs) -> None:
-    if "ne_pp" not in rec.captured:
+def _capture_ne_pp(span, args, kwargs) -> None:
+    if _captured is not None and "ne_pp" not in _captured:
         csr, k = args[0], args[1]
-        rec.captured["ne_pp"] = (copy.deepcopy(csr), k, kwargs.get("tau"))
+        _captured["ne_pp"] = (copy.deepcopy(csr), k, kwargs.get("tau"))
 
 
-def _count_hdrf(rec: Recorder, counts, args, kwargs) -> None:
+def _count_hdrf(span, args, kwargs) -> None:
     state, pairs, eids, parts = args[:4]
-    counts["edges"] = int(len(pairs))
-    if "hdrf" not in rec.captured:
-        rec.captured["hdrf"] = (
+    span.add("edges", len(pairs))
+    if _captured is not None and "hdrf" not in _captured and len(pairs):
+        _captured["hdrf"] = (
             copy.deepcopy(state),
             pairs[:HDRF_ALLOC_EDGES].copy(),
             eids[:HDRF_ALLOC_EDGES].copy(),
@@ -158,7 +167,7 @@ def _count_hdrf(rec: Recorder, counts, args, kwargs) -> None:
         )
 
 
-def install(rec: Recorder) -> dict:
+def install() -> dict:
     """Wrap the stage registry and the kernels; returns the originals."""
     import repro.runtime.stages as stages
     import repro.stream.buffered as buffered
@@ -169,19 +178,17 @@ def install(rec: Recorder) -> dict:
 
     for name, stage in list(STAGE_REGISTRY.items()):
         STAGE_REGISTRY[name] = Stage(
-            name, _spanned(rec, f"stage.{name}", stage.fn), stage.provides
+            name, _spanned(f"stage.{name}", stage.fn), stage.provides
         )
     originals = {
-        "ne_pp": _wrap(
-            rec, stages, "run_ne_plus_plus_on_csr", "ne_pp", _capture_ne_pp
-        ),
-        "hdrf": _wrap(rec, buffered, "hdrf_stream", "hdrf", _count_hdrf),
+        "ne_pp": _wrap(stages, "run_ne_plus_plus_on_csr", "ne_pp", _capture_ne_pp),
+        "hdrf": _wrap(buffered, "hdrf_stream", "hdrf", _count_hdrf),
     }
-    _wrap(rec, driver, "hdrf_stream", "hdrf", _count_hdrf)
-    _wrap(rec, CsrGraph, "from_arrays", "csr.build", as_static=True)
-    _wrap(rec, workers, "run_bsp_shared", "bsp")
-    _wrap(rec, workers.PersistentWorkerPool, "start", "pool.spawn")
-    _wrap(rec, workers.PersistentWorkerPool, "shutdown", "pool.shutdown")
+    _wrap(driver, "hdrf_stream", "hdrf", _count_hdrf)
+    _wrap(CsrGraph, "from_arrays", "csr.build", as_static=True)
+    _wrap(workers, "run_bsp_shared", "bsp")
+    _wrap(workers.PersistentWorkerPool, "start", "pool.spawn")
+    _wrap(workers.PersistentWorkerPool, "shutdown", "pool.shutdown")
     return originals
 
 
@@ -294,17 +301,17 @@ def probe_artifact(store, key: str, seed: int) -> dict:
     }
 
 
-def probe_alloc(rec: Recorder, originals: dict) -> dict:
+def probe_alloc(captured: dict, originals: dict) -> dict:
     """tracemalloc peaks of the captured NE++ and HDRF calls, replayed."""
     import numpy as np
 
     out = {}
-    csr, k, tau = rec.captured["ne_pp"]
+    csr, k, tau = captured["ne_pp"]
     tracemalloc.start()
     originals["ne_pp"](csr, k, tau=tau)
     out["ne_pp.peak_alloc_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
-    state, pairs, eids, m, lam, eps = rec.captured["hdrf"]
+    state, pairs, eids, m, lam, eps = captured["hdrf"]
     parts = np.full(m, -1, dtype=np.int32)
     tracemalloc.start()
     originals["hdrf"](state, pairs, eids, parts, lam=lam, eps=eps)
@@ -316,10 +323,37 @@ def probe_alloc(rec: Recorder, originals: dict) -> dict:
 # -- the traced run ----------------------------------------------------------
 
 
-def _timed_run(rec: Recorder, runtime, spec):
-    start = time.perf_counter()
-    result = runtime.run_job(spec)
-    return result, time.perf_counter() - start, rec.take()
+def capture(runtime, specs) -> dict:
+    """Run ``specs`` untimed until the NE++ and HDRF calls are captured."""
+    global _captured
+    _captured = {}
+    try:
+        for spec in specs:
+            runtime.run_job(spec)
+            if {"ne_pp", "hdrf"} <= set(_captured):
+                break
+        return _captured
+    finally:
+        _captured = None
+
+
+def timed_run(runtime, spec, traced: bool):
+    """``(result, wall seconds, drained records)`` of one ``run_job``.
+
+    Traced runs install a collect-mode :class:`repro.obs.Tracer`; the
+    untraced run keeps the default no-op tracer.
+    """
+    from repro.obs import NULL_TRACER, Tracer, set_tracer
+
+    tracer = Tracer(None) if traced else NULL_TRACER
+    set_tracer(tracer)
+    try:
+        start = time.perf_counter()
+        result = runtime.run_job(spec)
+        wall = time.perf_counter() - start
+    finally:
+        set_tracer(NULL_TRACER)
+    return result, wall, tracer.drain()
 
 
 def main(config_path: str) -> int:
@@ -330,30 +364,27 @@ def main(config_path: str) -> int:
 
     import repro.runtime as runtime
 
-    rec = Recorder()
-    originals = install(rec)
+    originals = install()
     source = cfg["source"]
     own_spec = build_spec(runtime, source, cfg["own"])
-    own_kind = cfg["own_kind"]
+    seq_spec = build_spec(runtime, source, cfg["seq"])
+    bsp_spec = build_spec(runtime, source, cfg["bsp"])
 
-    rec.enabled = False
-    _, wall_untraced, _ = _timed_run(rec, runtime, own_spec)
-    rec.enabled = True
-    own, wall_own, own_spans = _timed_run(rec, runtime, own_spec)
-    seq, wall_seq, seq_spans = _timed_run(
-        rec, runtime, build_spec(runtime, source, cfg["seq"])
-    )
-    peer, wall_peer, peer_spans = _timed_run(
-        rec, runtime, build_spec(runtime, source, cfg["peer"])
-    )
-    rec.enabled = False
+    captured = capture(runtime, [own_spec, seq_spec])
+    ratios = []
+    for pair in range(OVERHEAD_PAIRS):
+        for traced in (pair % 2 == 1, pair % 2 == 0):
+            if traced:
+                own, wall_own, own_records = timed_run(runtime, own_spec, True)
+            else:
+                _, wall_untraced, _ = timed_run(runtime, own_spec, False)
+        ratios.append(wall_own / wall_untraced)
+    _, wall_seq, seq_records = timed_run(runtime, seq_spec, traced=True)
+    bsp, wall_bsp, bsp_records = timed_run(runtime, bsp_spec, traced=True)
+    own_spans = layer_spans(own_records)
+    seq_spans = layer_spans(seq_records)
+    bsp_spans = layer_spans(bsp_records)
 
-    if own_kind == "hep":
-        hep, hep_spans = own, own_spans
-        bsp, bsp_spans, wall_bsp = peer, peer_spans, wall_peer
-    else:
-        hep, hep_spans = peer, peer_spans
-        bsp, bsp_spans, wall_bsp = own, own_spans, wall_own
     hdrf_source = "own" if counted(own_spans, "hdrf", "edges") else "seq"
     hdrf_spans = own_spans if hdrf_source == "own" else seq_spans
 
@@ -362,24 +393,24 @@ def main(config_path: str) -> int:
         "reader.edges_per_s": reader_rate,
         "count.s": total(own_spans, "stage.count"),
         "metrics.s": total(own_spans, "stage.metrics"),
-        "select_tau.s": total(hep_spans, "stage.select_tau"),
-        "select_tau.tau": float(hep.tau),
-        "select_tau.projected_bytes": float(hep.projected_memory_bytes),
-        "split.s": self_times(hep_spans).get("stage.split", 0.0),
-        "split.h2h_edges": float(hep.breakdown.num_h2h_edges),
-        "split.spill_bytes": float(hep.spill_bytes),
-        "csr.build_s": total(hep_spans, "csr.build"),
-        "ne_pp.s": total(hep_spans, "ne_pp"),
+        "select_tau.s": total(own_spans, "stage.select_tau"),
+        "select_tau.tau": float(own.tau),
+        "select_tau.projected_bytes": float(own.projected_memory_bytes),
+        "split.s": self_times(own_spans).get("stage.split", 0.0),
+        "split.h2h_edges": float(own.breakdown.num_h2h_edges),
+        "split.spill_bytes": float(own.spill_bytes),
+        "csr.build_s": total(own_spans, "csr.build"),
+        "ne_pp.s": total(own_spans, "ne_pp"),
         "hdrf.s": total(hdrf_spans, "hdrf"),
         "batch_score.edges_per_s": probe_batch_score(
             pairs, own_spec.k, bsp.spec.batch
         ),
         "pool.spawn_s": total(bsp_spans, "pool.spawn"),
-        "obs.overhead_ratio": wall_own / wall_untraced,
+        "obs.overhead_ratio": statistics.median(ratios),
         "trace.coverage": top_level(own_spans) / wall_own,
     }
     metrics["ne_pp.edges_per_s"] = (
-        hep.breakdown.num_inmemory_edges / metrics["ne_pp.s"]
+        own.breakdown.num_inmemory_edges / metrics["ne_pp.s"]
     )
     metrics["hdrf.edges_per_s"] = (
         counted(hdrf_spans, "hdrf", "edges") / metrics["hdrf.s"]
@@ -397,7 +428,7 @@ def main(config_path: str) -> int:
     store_metrics, store, key = probe_store(runtime, own_spec, source, own, out)
     metrics.update(store_metrics)
     metrics.update(probe_artifact(store, key, cfg["seed"]))
-    metrics.update(probe_alloc(rec, originals))
+    metrics.update(probe_alloc(captured, originals))
 
     np.save(out / "parts.npy", own.parts)
     doc = {
@@ -409,20 +440,31 @@ def main(config_path: str) -> int:
             "tau": own.tau,
         },
         "layer_source": {
-            "count/metrics": "own",
-            "select_tau/split/csr/ne_pp": "own" if own_kind == "hep" else "peer",
+            "count/metrics/select_tau/split/csr/ne_pp": "own",
             "hdrf": hdrf_source,
-            "pool/bsp": "own" if own_kind == "bsp" else "peer",
+            "pool/bsp": "2-worker HDRF",
         },
+        "overhead_ratios": ratios,
         "top_level_over_untraced_wall": top_level(own_spans) / wall_untraced,
+        "span_records": {
+            "own": len(own_records), "seq": len(seq_records),
+            "bsp_2w": len(bsp_records),
+        },
         "walls_s": {
             "own_untraced": wall_untraced, "own_traced": wall_own,
-            "seq_informed_hdrf": wall_seq, "peer": wall_peer,
+            "seq_informed_hdrf": wall_seq, "bsp_2w": wall_bsp,
         },
         "self_time_s": {
             "own": self_times(own_spans),
             "seq": self_times(seq_spans),
-            "peer": self_times(peer_spans),
+            "bsp_2w": self_times(bsp_spans),
+        },
+        # the program's own spans over the same traced runs, to cross-check
+        # the stage shares the wrappers measured
+        "program_span_s": {
+            "own": program_totals(own_records),
+            "seq": program_totals(seq_records),
+            "bsp_2w": program_totals(bsp_records),
         },
     }
     (out / "trace.json").write_text(json.dumps(doc))

@@ -1,4 +1,4 @@
-"""The repository's benchmark: four workloads, end to end and layer by layer.
+"""The repository's benchmark: two HEP workloads, end to end and layer by layer.
 
 Usage (from the repository root)::
 
@@ -10,23 +10,16 @@ and exported as a 4-shard manifest before any timed process starts):
 * ``hep_tight``  sequential HEP, budget just above the §4.2 projection at
   tau=1.0: most edges spill as h2h and informed HDRF does most work,
 * ``hep_roomy``  sequential HEP, budget at the projection of the largest
-  grid tau: NE++ and the CSR build do the work, no edge spills,
-* ``hdrf_2w``    informed HDRF on 2 BSP workers over the warm
-  shared-memory pool, with pooled count/metrics scans,
-* ``serve_mixed`` ``python -m repro serve`` with an open loop of point
-  lookups and, beside them, evenly spaced store-hit resubmits and cold
-  HEP jobs at the hep_tight budget.
-
-BENCHMARK.json lists ``hep_tight`` and ``hep_roomy``.  ``hdrf_2w`` and
-``serve_mixed`` run the same way and stay covered by ``smoke.py``, but
-their figures followed the host's CPU steal too closely to gate on (see
-README.md); their layers are measured in every traced run.
+  grid tau: NE++ and the CSR build do the work, no edge spills.
 
 ``--trace 0`` prints the end-to-end metrics of BENCHMARK.json, ``--trace
-1`` the per-layer metrics of a separate traced run (see ``layers.py``).
-The last stdout line is the result object; the line before it holds the
-details (provenance stamp, input shape, per-repetition values, failures).
-Exit status is non-zero only when the benchmark itself cannot run.
+1`` the per-layer metrics of a separate traced run (see ``layers.py``),
+which also times 2-worker HDRF on the same manifest for the BSP, pool
+and worker layers, and a cold job on a ``repro serve`` process for the
+service's queue hand-off.  The last stdout line is the result object;
+the line before it holds the details (provenance stamp, input shape,
+per-repetition values, failures).  Exit status is non-zero only when
+the benchmark itself cannot run.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from common import (
     HERE, K, MIN_REPS, ROOMY_TAU, SRC, TIGHT_TAU, WORK_ROOT, Tally,
 )
 
-#: serve-style job payloads of the batch workloads
+#: serve-style job payloads of the workloads
 BATCH_JOBS = {
     "hep_tight": lambda inputs, work: {
         "algo": "HEP", "k": K, "memory_budget": inputs.tight_budget,
@@ -55,18 +48,16 @@ BATCH_JOBS = {
         "algo": "HEP", "k": K, "memory_budget": inputs.roomy_budget,
         "spill_dir": str(work),
     },
-    "hdrf_2w": lambda inputs, work: {
-        "algo": "HDRF", "k": K, "workers": 2, "batch": BSP_BATCH,
-    },
 }
-#: BSP edges per worker per superstep.  At the default (8) a run is
-#: dominated by per-superstep process wake-ups, whose run-to-run spread
-#: on a 2-vCPU VM exceeded 50% of the median.
-BSP_BATCH = 32
 EXPECTED_TAU = {"hep_tight": TIGHT_TAU, "hep_roomy": ROOMY_TAU}
+WORKLOADS = tuple(BATCH_JOBS)
 #: sequential informed HDRF: the reference of bsp.speedup_vs_seq
 SEQ_JOB = {"algo": "HDRF", "k": K, "algo_params": {"exact_degrees": True}}
-WORKLOADS = (*BATCH_JOBS, "serve_mixed")
+#: the traced run's BSP job.  The batch (BSP edges per worker per
+#: superstep) is 32, not the default 8: at 8 a run is dominated by
+#: per-superstep process wake-ups, whose run-to-run spread on a 2-vCPU
+#: VM exceeded 50% of the median.
+BSP_JOB = {"algo": "HDRF", "k": K, "workers": 2, "batch": 32}
 LOOKUPS_PER_REP = 2000
 #: a run, set-up included, must end well inside 180 s
 RUN_BUDGET_S = 165.0
@@ -76,7 +67,7 @@ def _remaining(deadline: float) -> float:
     return max(5.0, deadline - time.monotonic())
 
 
-# -- batch workloads ---------------------------------------------------------
+# -- timed repetitions -------------------------------------------------------
 
 
 def check_shape(name: str, inputs, tau, h2h, tally: Tally) -> dict:
@@ -110,9 +101,6 @@ def check_rep(name: str, inputs, doc: dict, parts, tally: Tally,
         f"{name}: edge lookups match the assignment",
     )
     tally.check(doc["leftover_children"] == 0, f"{name}: no worker outlives run_job")
-    if name not in EXPECTED_TAU:
-        tally.check(bool(doc["supersteps"]), "hdrf_2w runs BSP supersteps")
-        return {}
     shape = check_shape(name, inputs, doc["tau"], doc["num_h2h_edges"], tally)
     if first:
         common.check_in_memory_hep(tally, inputs.graph, parts, doc["tau"])
@@ -127,7 +115,7 @@ def run_batch(name: str, inputs, work: Path, seconds: float, tally: Tally,
     job = BATCH_JOBS[name](inputs, work)
     # Untimed warm-up: byte-compiles the package so imports are steady.
     common.run_child(["-c", "import repro.runtime, repro.serve"], work, 120.0)
-    reps, digests, shape = [], [], {}
+    reps, shape = [], {}
     lookup_samples = 0
     begin = time.monotonic()
     index = 0
@@ -142,7 +130,7 @@ def run_batch(name: str, inputs, work: Path, seconds: float, tally: Tally,
             "store": str(rep_dir / "store"), "out": str(rep_dir),
             "lookups": LOOKUPS_PER_REP, "seed": inputs.seed * 1000 + index,
         }))
-        status, start_wall = common.run_child(
+        status = common.run_child(
             [str(HERE / "rep.py"), str(cfg)], work, _remaining(deadline)
         )
         index += 1
@@ -150,9 +138,7 @@ def run_batch(name: str, inputs, work: Path, seconds: float, tally: Tally,
             continue
         doc = common.read_json(rep_dir / "rep.json")
         parts = np.load(rep_dir / "parts.npy")
-        doc["job_done_s"] = doc.pop("done_wall") - start_wall
         shape = check_rep(name, inputs, doc, parts, tally, first=not reps) or shape
-        digests.append(common.parts_digest(parts))
         latencies = doc.pop("lookup_ms")
         lookup_samples += len(latencies)
         doc["lookup_p50_ms"] = common.percentile(latencies, 50)
@@ -161,18 +147,13 @@ def run_batch(name: str, inputs, work: Path, seconds: float, tally: Tally,
         shutil.rmtree(rep_dir)
     if not reps:
         raise RuntimeError(f"{name}: no repetition finished")
-    if name == "hdrf_2w":
-        tally.check(
-            len(set(digests)) == 1,
-            "hdrf_2w assignment digest identical across repetitions",
-        )
 
     def med(key):
         return common.median([doc[key] for doc in reps])
 
     metrics = {
         key: med(key) for key in (
-            "setup_s", "partition_s", "job_done_s", "cpu_s", "peak_rss_mb",
+            "setup_s", "partition_s", "cpu_s", "peak_rss_mb",
             "cache_hit_ms", "replication_factor", "edge_balance",
             "lookup_p50_ms", "lookup_p99_ms",
         )
@@ -194,67 +175,41 @@ def run_batch(name: str, inputs, work: Path, seconds: float, tally: Tally,
 # -- traced runs -------------------------------------------------------------
 
 
-def run_layers(inputs, work: Path, own_job: dict, own_kind: str,
-               tally: Tally, deadline: float) -> dict:
-    """The traced run (``layers.py``) in a fresh process; its document."""
-    out = work / "layers"
-    out.mkdir()
-    peer = BATCH_JOBS["hdrf_2w" if own_kind == "hep" else "hep_tight"](inputs, work)
-    cfg = out / "config.json"
-    cfg.write_text(json.dumps({
-        "src": str(SRC), "source": inputs.manifest, "own": own_job,
-        "own_kind": own_kind, "seq": SEQ_JOB, "peer": peer, "out": str(out),
-        "seed": inputs.seed,
-    }))
-    status, _ = common.run_child(
-        [str(HERE / "layers.py"), str(cfg)], work, _remaining(deadline)
-    )
-    if not tally.check(status == 0, f"traced run exits 0 (got {status})"):
-        raise RuntimeError("traced run failed")
-    return common.read_json(out / "trace.json")
-
-
-def trace_batch(name: str, inputs, work: Path, tally: Tally,
-                deadline: float) -> tuple[dict, dict]:
-    """Per-layer metrics of a batch workload, plus its served queue wait."""
+def run_traced(name: str, inputs, work: Path, tally: Tally,
+               deadline: float) -> tuple[dict, dict]:
+    """Per-layer metrics: ``layers.py`` in a fresh process, then the
+    workload's job submitted cold to an idle ``repro serve`` for its
+    queue wait."""
     import numpy as np
 
     import served
 
     job = BATCH_JOBS[name](inputs, work)
-    doc = run_layers(
-        inputs, work, job, "bsp" if name == "hdrf_2w" else "hep", tally, deadline
+    out = work / "layers"
+    out.mkdir()
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps({
+        "src": str(SRC), "source": inputs.manifest, "own": job,
+        "seq": SEQ_JOB, "bsp": BSP_JOB, "out": str(out), "seed": inputs.seed,
+    }))
+    status = common.run_child(
+        [str(HERE / "layers.py"), str(cfg)], work, _remaining(deadline)
     )
-    parts = np.load(work / "layers" / "parts.npy")
+    if not tally.check(status == 0, f"traced run exits 0 (got {status})"):
+        raise RuntimeError("traced run failed")
+    doc = common.read_json(out / "trace.json")
+    parts = np.load(out / "parts.npy")
     own = doc.pop("own")
     common.check_assignment(
         tally, inputs.graph, parts, own["loads"], own["replication_factor"],
         own["edge_balance"], f"{name} (traced)",
     )
-    if name in EXPECTED_TAU:
-        tally.check(own["tau"] == EXPECTED_TAU[name], f"{name}: traced run selects tau")
-        common.check_in_memory_hep(tally, inputs.graph, parts, own["tau"])
+    tally.check(own["tau"] == EXPECTED_TAU[name], f"{name}: traced run selects tau")
+    common.check_in_memory_hep(tally, inputs.graph, parts, own["tau"])
     metrics = doc.pop("metrics")
     metrics["serve.queue_wait_s"] = served.queue_wait_probe(
         work, inputs.manifest, job, tally, parts
     )
-    return metrics, doc
-
-
-def trace_serve(inputs, work: Path, seconds: float, tally: Tally,
-                deadline: float) -> tuple[dict, dict]:
-    """The served session for its queue waits, then the traced cold job."""
-    import served
-
-    _, session = served.run_serve_mixed(inputs, work, seconds, tally, deadline)
-    cold = served.cold_job(inputs, work, seed=0)
-    doc = run_layers(inputs, work, cold, "hep", tally, deadline)
-    doc.pop("own")
-    metrics = doc.pop("metrics")
-    metrics["serve.queue_wait_s"] = common.median(
-        [job["queue_wait_s"] for job in session["cold_jobs"]]
-    )
-    doc["session"] = session
     return metrics, doc
 
 
@@ -301,13 +256,8 @@ def main(argv=None) -> int:
         shm_before = common.shm_segments()
         inputs = common.make_inputs(work, args.seed, args.scale_bits)
         tally = Tally()
-        if args.workload == "serve_mixed":
-            import served
-
-            runner = trace_serve if args.trace else served.run_serve_mixed
-            values, details = runner(inputs, work, args.seconds, tally, deadline)
-        elif args.trace:
-            values, details = trace_batch(
+        if args.trace:
+            values, details = run_traced(
                 args.workload, inputs, work, tally, deadline
             )
         else:

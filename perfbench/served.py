@@ -1,9 +1,8 @@
 """The served side: ``python -m repro serve`` as its own process, over HTTP.
 
-Used by the ``serve_mixed`` workload (start-up, an open loop of point
-lookups from :mod:`loadgen`, store-hit resubmits and cold HEP jobs
-beside it) and by the traced run of every other workload, which submits
-its own job to an idle service to time the queue hand-off.
+The traced run submits its workload's job to an idle service to time
+the queue hand-off (``serve.queue_wait_s``) and to check that the
+served assignment equals the direct one.
 """
 
 from __future__ import annotations
@@ -18,21 +17,10 @@ import time
 from pathlib import Path
 
 import common
-from common import K, Tally
+from common import Tally
 
 TERMINAL = ("succeeded", "failed", "cancelled")
-#: lookups per second sent by the generator; below saturation on 2 CPUs
-#: even while a cold job holds the runner thread
-LOOKUP_RATE = 70.0
-#: submit cycles in the lookup window, evenly spaced: two store-hit
-#: resubmits, then one cold HEP job at the tight budget
-CYCLES = 6
-#: jobs whose results the store holds before the service starts; each is
-#: resubmitted once during the window and must be answered by the store
-HIT_JOBS = [{"algo": "DBH", "k": k} for k in range(2, 2 + 2 * CYCLES)]
 START_TIMEOUT_S = 60.0
-#: service starts per run; ``setup_s`` is their median
-STARTS = 5
 
 
 def request(port: int, method: str, path: str, payload=None,
@@ -49,9 +37,8 @@ def request(port: int, method: str, path: str, payload=None,
         conn.close()
 
 
-def start_server(store_root: Path, work: Path) -> tuple[subprocess.Popen, int, float]:
-    """Start the service; ``(process, port, seconds until /healthz answers)``."""
-    start = time.perf_counter()
+def start_server(store_root: Path, work: Path) -> tuple[subprocess.Popen, int]:
+    """Start the service and wait until ``/healthz`` answers; ``(process, port)``."""
     log = open(work / "server.log", "ab")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -76,7 +63,7 @@ def start_server(store_root: Path, work: Path) -> tuple[subprocess.Popen, int, f
     except BaseException:
         stop_server(proc)
         raise
-    return proc, port, time.perf_counter() - start
+    return proc, port
 
 
 def _read_port(proc: subprocess.Popen, deadline: float) -> int:
@@ -99,29 +86,27 @@ def _read_port(proc: subprocess.Popen, deadline: float) -> int:
     return int(address.rsplit(":", 1)[1])
 
 
-def stop_server(proc: subprocess.Popen, timeout: float = 60.0):
-    """SIGTERM, drain and reap the service; ``(exit code, rusage)``."""
+def stop_server(proc: subprocess.Popen, timeout: float = 60.0) -> int:
+    """SIGTERM, drain and reap the service; its exit code."""
     if proc.poll() is None:
         proc.send_signal(signal.SIGTERM)
-    code, usage = common.reap(proc, timeout)
+    code = common.reap(proc, timeout)
     proc.stdout.close()
-    return code, usage
+    return code
 
 
 def submit_and_wait(port: int, payload: dict, timeout: float = 120.0) -> dict:
     """Submit a job and follow its events until the log closes.
 
-    Returns the client-side ``done_s`` (submit until the terminal state
-    arrived), the server-side ``queue_wait_s`` (created-to-finished
-    minus the run's ``partition`` span) and the final status document.
+    Returns the server-side ``queue_wait_s`` (created-to-finished minus
+    the run's ``partition`` span) and the final status document.
     """
-    start = time.perf_counter()
     status, body = request(port, "POST", "/jobs", payload, timeout=timeout)
     if status not in (200, 201):
         return {"ok": False, "error": f"submit returned {status}: {body[:200]!r}"}
     job_id = json.loads(body)["id"]
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    done_at = None
+    finished = False
     partition_s = None
     try:
         conn.request("GET", f"/jobs/{job_id}/events")
@@ -132,19 +117,18 @@ def submit_and_wait(port: int, payload: dict, timeout: float = 120.0) -> dict:
                 break
             event = json.loads(line)
             if event.get("event") == "state" and event.get("state") in TERMINAL:
-                done_at = time.perf_counter()
+                finished = True
             elif event.get("event") == "span" and event.get("span") == "partition":
                 partition_s = event.get("dur_s")
     finally:
         conn.close()
     status, body = request(port, "GET", f"/jobs/{job_id}", timeout=timeout)
     doc = json.loads(body) if status == 200 else {}
-    ok = done_at is not None and doc.get("state") == "succeeded"
-    out = {"ok": ok, "id": job_id, "doc": doc}
+    ok = finished and doc.get("state") == "succeeded"
+    out = {"ok": ok, "doc": doc}
     if not ok:
         out["error"] = f"job {job_id} ended {doc.get('state')}: {doc.get('error')}"
         return out
-    out["done_s"] = done_at - start
     if partition_s is not None:
         out["queue_wait_s"] = (
             doc["finished_at"] - doc["created_at"] - partition_s
@@ -171,11 +155,11 @@ def queue_wait_probe(work: Path, source: str, job: dict, tally: Tally,
     import numpy as np
 
     store_root = work / "probe-serve-store"
-    proc, port, _ = start_server(store_root, work)
+    proc, port = start_server(store_root, work)
     try:
         done = submit_and_wait(port, {"source": source, **job})
     finally:
-        code, _ = stop_server(proc)
+        code = stop_server(proc)
     tally.check(code == 0, "service exits cleanly after SIGTERM")
     tally.check(not common.pid_alive(proc.pid), "no surviving service process")
     if not tally.check(done["ok"], f"served job: {done.get('error')}"):
@@ -184,184 +168,5 @@ def queue_wait_probe(work: Path, source: str, job: dict, tally: Tally,
         np.array_equal(stored_parts(store_root, done["doc"]["key"]), expected_parts),
         "served assignment equals the direct run_job assignment",
     )
-    return done["queue_wait_s"]
-
-
-def _replica_cover(graph, parts):
-    """``k x n`` bool: partition p holds a replica of vertex v."""
-    import numpy as np
-
-    cover = np.zeros((K, graph.num_vertices), dtype=bool)
-    cover[parts, graph.edges[:, 0]] = True
-    cover[parts, graph.edges[:, 1]] = True
-    return cover
-
-
-def cold_job(inputs, work: Path, seed: int) -> dict:
-    """The served cold job: sequential HEP at the hep_tight budget."""
-    return {"algo": "HEP", "k": K, "memory_budget": inputs.tight_budget,
-            "spill_dir": str(work), "seed": seed}
-
-
-def run_serve_mixed(inputs, work: Path, seconds: float, tally: Tally,
-                    deadline: float) -> tuple[dict, dict]:
-    """The write-beside-read workload; ``(metrics, details)``.
-
-    The store is filled before the service starts (untimed): the job
-    whose result the lookups read, and the ``HIT_JOBS``.  The service is
-    then started ``STARTS`` times (``setup_s`` is the median start-up), and
-    on the last instance a generator process sends an open loop of
-    lookups for ``seconds`` while this process runs ``CYCLES`` evenly
-    spaced submit cycles.  The cold jobs differ only in the spec's input
-    ``seed`` (unused by the natural-order reader), so each is a cache
-    miss that does the same work.
-    """
-    import numpy as np
-
-    import rep
-    import repro.runtime as runtime
-
-    source = inputs.manifest
-    store_root = work / "serve-store"
-    store = runtime.ArtifactStore(store_root)
-    lookup_job = {"algo": "HEP", "k": K, "spill_dir": str(work)}
-    stored = {}
-    for job in [lookup_job, *HIT_JOBS]:
-        result = runtime.run_job(
-            rep.build_spec(runtime, source, job), store=store
-        )
-        stored[json.dumps(job, sort_keys=True)] = result
-    lookup_result = stored[json.dumps(lookup_job, sort_keys=True)]
-
-    startups = []
-    for attempt in range(STARTS):
-        proc, port, startup_s = start_server(store_root, work)
-        startups.append(startup_s)
-        if attempt < STARTS - 1:
-            code, _ = stop_server(proc)
-            tally.check(code == 0, "service exits cleanly after SIGTERM")
-    generator = None
-    hits, colds = [], []
-    try:
-        warm = submit_and_wait(port, {"source": source, **lookup_job})
-        if not tally.check(warm["ok"], f"lookup job: {warm.get('error')}"):
-            raise RuntimeError(warm.get("error"))
-        lookup_id = warm["id"]
-        for path in (f"/jobs/{lookup_id}/vertex/0", f"/jobs/{lookup_id}/edge/0",
-                     f"/jobs/{lookup_id}/quality"):
-            status, _ = request(port, "GET", path)
-            tally.check(status == 200, f"warm-up GET {path}")
-
-        gen_cfg = work / "loadgen.json"
-        gen_out = work / "loadgen-out.json"
-        gen_cfg.write_text(json.dumps({
-            "port": port, "job": lookup_id, "rate": LOOKUP_RATE,
-            "seconds": seconds, "seed": inputs.seed,
-            "num_edges": inputs.num_edges,
-            "num_vertices": int(inputs.graph.num_vertices),
-            "out": str(gen_out),
-        }))
-        generator = subprocess.Popen(
-            [sys.executable, str(common.HERE / "loadgen.py"), str(gen_cfg)],
-            env=common.child_env(work), cwd=str(common.ROOT),
-        )
-        window_start = time.monotonic()
-        for cycle in range(CYCLES):
-            pause = window_start + cycle * seconds / CYCLES - time.monotonic()
-            if pause > 0:
-                time.sleep(pause)
-            cold = cold_job(inputs, work, seed=cycle)
-            for kind, job in (("hit", HIT_JOBS[2 * cycle]),
-                              ("hit", HIT_JOBS[2 * cycle + 1]), ("cold", cold)):
-                done = submit_and_wait(port, {"source": source, **job})
-                done["job"] = job
-                if tally.check(done["ok"], f"{kind} job: {done.get('error')}"):
-                    (hits if kind == "hit" else colds).append(done)
-        gen_code, _ = common.reap(
-            generator, max(10.0, deadline - time.monotonic())
-        )
-        tally.check(gen_code == 0, "load generator exits cleanly")
-    finally:
-        if generator is not None and generator.returncode is None:
-            generator.kill()
-            common.reap(generator, 10.0)
-        code, usage = stop_server(proc)
-    tally.check(code == 0, "service exits cleanly after SIGTERM")
-    tally.check(not common.pid_alive(proc.pid), "no surviving service process")
-    tally.check(
-        not common.pid_alive(generator.pid), "no surviving generator process"
-    )
-
-    for done in hits:
-        summary = done["doc"]["result"]
-        expected = stored[json.dumps(done["job"], sort_keys=True)]
-        tally.check(
-            summary["cache_hit"]
-            and summary["replication_factor"] == expected.replication_factor,
-            f"resubmit of {done['job']} is answered by the store",
-        )
-    cold_parts = []
-    for done in colds:
-        summary = done["doc"]["result"]
-        tally.check(not summary["cache_hit"], "cold job is computed, not cached")
-        parts = stored_parts(store_root, done["doc"]["key"])
-        cold_parts.append(parts)
-        common.check_assignment(
-            tally, inputs.graph, parts, summary["loads"],
-            summary["replication_factor"], summary["edge_balance"],
-            f"served cold HEP (seed={done['job']['seed']})",
-        )
-    tally.check(
-        all(np.array_equal(cold_parts[0], parts) for parts in cold_parts),
-        "cold HEP jobs agree with each other",
-    )
-
-    gen = common.read_json(gen_out)
-    cover = _replica_cover(inputs.graph, lookup_result.parts)
-    latencies, errors, wrong = [], 0, 0
-    for kind, ident, status, late_ms, latency_ms, answer in gen["records"]:
-        latencies.append(latency_ms)
-        if status != 200:
-            errors += 1
-        elif kind == "edge":
-            wrong += answer != int(lookup_result.parts[ident])
-        elif kind == "vertex":
-            wrong += answer != np.flatnonzero(cover[:, ident]).tolist()
-        else:
-            wrong += answer != lookup_result.replication_factor
-    tally.bulk(len(latencies), errors, "HTTP lookups answered 200")
-    tally.bulk(len(latencies), wrong, "HTTP lookup answers match the stored result")
-    late = [record[3] for record in gen["records"]]
-
-    usage_cpu = usage.ru_utime + usage.ru_stime
-    metrics = {
-        "setup_s": common.median(startups),
-        "partition_s": common.median([d["doc"]["result"]["runtime_s"] for d in colds]),
-        "job_done_s": common.median([d["done_s"] for d in colds]),
-        "cache_hit_ms": common.median([d["done_s"] * 1e3 for d in hits]),
-        "lookup_p50_ms": common.percentile(latencies, 50),
-        "lookup_p99_ms": common.percentile(latencies, 99),
-        "cpu_s": usage_cpu,
-        "peak_rss_mb": usage.ru_maxrss / 1024.0,
-        "replication_factor": colds[0]["doc"]["result"]["replication_factor"],
-        "edge_balance": colds[0]["doc"]["result"]["edge_balance"],
-    }
-    metrics["edges_per_s"] = inputs.num_edges / metrics["partition_s"]
-    details = {
-        "startups_s": startups,
-        "lookup_samples": len(latencies),
-        "lookup_rate_per_s": LOOKUP_RATE,
-        "lookup_connections": gen["threads"],
-        "generator_late_ms": {
-            "p50": common.percentile(late, 50),
-            "p99": common.percentile(late, 99),
-            "max": max(late),
-        },
-        "cold_jobs": [
-            {"done_s": d["done_s"], "runtime_s": d["doc"]["result"]["runtime_s"],
-             "queue_wait_s": d.get("queue_wait_s")} for d in colds
-        ],
-        "cache_hits_ms": [d["done_s"] * 1e3 for d in hits],
-        "queue_wait_s": [d.get("queue_wait_s") for d in colds + hits],
-    }
-    return metrics, details
+    tally.check("queue_wait_s" in done, "served job reports its partition span")
+    return done.get("queue_wait_s", float("nan"))

@@ -2,12 +2,11 @@
 
 Runs every workload ``run.py`` offers once untraced and once traced on a
 tiny input (2**10 vertices, 1 s of measurement) and checks that each run
-exits 0
-and prints, as its last line, a result with ``correct: true``, no
+exits 0 and prints, as its last line, a result with ``correct: true``, no
 failures, and exactly the metrics BENCHMARK.json names for that mode,
 each with its unit.  It also checks that the benchmark exits non-zero
 without printing a result when the source tree is missing.  Takes about
-a minute on 2 CPUs.
+15 s on 2 CPUs.
 """
 
 from __future__ import annotations
