@@ -5,9 +5,10 @@ Measures what ``--metrics-workers N`` buys for the two remaining
 pass (``chunked_quality``) — and what the bit-packed cover saves:
 
 * **throughput** — sequential sweep vs 1/2/4 scan workers over the same
-  sharded export, best-of-``_REPEATS`` wall-clock, with cold one-shot
-  pools and with a warm :class:`~repro.stream.PersistentWorkerPool`
-  (PR 7's default, where the spawn tax is paid once).  Worker scaling
+  sharded export, best-of-``_REPEATS`` wall-clock, with a pool spawned
+  per pass ("cold") and with one warm
+  :class:`~repro.stream.PersistentWorkerPool` for both passes (where
+  the spawn tax is paid once).  Worker scaling
   is real process parallelism, so on a single-core container
   (cpu_count is recorded in the JSON, as in ``bench_workers``) the
   measured speedup is bounded by ~1x and the *modeled* speedup — total
@@ -156,8 +157,8 @@ def bench_parallel_scan_throughput(manifest, capsys):
             }
         )
 
-        # The same sweeps on a warm shared-memory pool (PR 7's default
-        # path): the spawn tax is paid once, outside the timed region.
+        # The same sweeps on one warm pool (what a partition run does):
+        # the spawn tax is paid once, outside the timed region.
         pool = PersistentWorkerPool(workers)
         pool.start()
         try:

@@ -1,19 +1,11 @@
 """Shared-memory BSP state: numpy views over one ``/dev/shm`` segment.
 
-PR 4's multi-worker protocol shipped *state* over pipes: every
-superstep each worker pickled/encoded its batch, the coordinator
-re-encoded the merged delta, and every worker re-applied it to a
-private snapshot copy — ``O(workers² · batch)`` bytes framed and
-``O(workers · batch)`` redundant apply work per superstep.  The
-profiling subsystem (``bench_profile.py``) attributes most of the
-multi-worker gap to exactly that spawn/pickle/pipe tax.
-
-This module replaces the data plane with one
+The multi-worker BSP schedule keeps its data plane in one
 :mod:`multiprocessing.shared_memory` segment that workers and the
-coordinator map as plain numpy views; pipes are demoted to tiny control
-frames (a one-byte tag plus the spill frame header).  Two ideas make it
-bit-identical to the pipe protocol and the in-process
-:func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream`:
+coordinator map as plain numpy views; pipes carry only tiny control
+frames (a one-byte tag plus the spill frame header), so no state is
+pickled or re-applied per worker.  Two ideas make it bit-identical to
+the in-process :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream`:
 
 * **Double-buffered snapshot/commit** (:class:`SharedState`): the
   replica cover and per-partition loads exist twice in the segment.
@@ -46,6 +38,11 @@ Python 3.13 grew ``track=False`` for exactly this; on 3.10–3.12 the
 register/unregister calls are suppressed instead
 (:func:`_tracker_paused`).  Leak safety is owned by the explicit
 ``finally`` unlinks plus the test-session and CI ``psm_*`` gates.
+
+Capacity: every segment is reserved in full when it is created
+(:func:`_create_untracked`), so a ``/dev/shm`` too small for the run
+fails up front with one :class:`~repro.errors.ConfigurationError`
+instead of a ``SIGBUS`` mid-run.
 
 :class:`SharedArray` is the one-array little sibling used to ship the
 read-only assignment to metrics workers without pickling it per job.
@@ -94,9 +91,34 @@ def _tracker_paused():
 
 
 def _create_untracked(size: int) -> shared_memory.SharedMemory:
-    """Create a fresh segment whose lifetime *we* manage, not the tracker."""
+    """Create a fresh segment whose lifetime *we* manage, not the tracker.
+
+    The segment's pages are reserved up front with ``posix_fallocate``
+    (where the OS has it).  Without the reservation a ``/dev/shm`` too
+    small for the segment is only discovered at the first write past
+    its capacity, as a ``SIGBUS`` that kills the process and orphans
+    the segment.  Callers write every byte right after creating, so
+    reserving costs no extra memory.  A failed reservation unlinks the
+    segment and raises :class:`~repro.errors.ConfigurationError`.
+    """
     with _tracker_paused():
-        return shared_memory.SharedMemory(create=True, size=size)
+        shm = shared_memory.SharedMemory(create=True, size=size)
+    reserve = getattr(os, "posix_fallocate", None)
+    try:
+        if reserve is not None:
+            reserve(shm._fd, 0, size)
+    except BaseException as exc:
+        _close_quietly(shm)
+        _unlink_quietly(shm)
+        if not isinstance(exc, OSError):
+            raise
+        raise ConfigurationError(
+            f"/dev/shm cannot hold the {size:,} bytes of a shared-memory "
+            f"segment ({exc.strerror or exc}); enlarge it (e.g. docker "
+            f"run --shm-size) or run without worker processes "
+            f"(workers=0, metrics_workers=0)"
+        ) from None
+    return shm
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:

@@ -4,13 +4,11 @@ Two strategies exist, selected from the spec's execution shape:
 
 * :class:`InProcessExecutor` (``workers == 0``) — sequential chunk
   sweeps in the coordinator process; the counting/metrics passes may
-  still fan out over scan workers (``metrics_workers``), on a warm
-  :class:`~repro.stream.workers.PersistentWorkerPool` when
-  ``shared_memory`` is set,
+  still fan out over scan workers (``metrics_workers``) on a warm
+  :class:`~repro.stream.workers.PersistentWorkerPool`,
 * :class:`PoolExecutor` (``workers >= 1``) — the streaming phase runs
-  on BSP worker processes, reusing one warm pool across the counting
-  pass, the stream, and the metrics pass (or per-run pipe pools with
-  ``shared_memory=False``).
+  on BSP worker processes over shared memory, reusing one warm pool
+  across the counting pass, the stream, and the metrics pass.
 
 Both strategies are pinned bit-identical to each other and to the
 in-memory oracles by the equivalence/Hypothesis suites; the executor
@@ -35,13 +33,26 @@ from repro.runtime.stages import RunContext, informed_phase_two_state
 __all__ = ["Executor", "InProcessExecutor", "PoolExecutor", "select_executor"]
 
 
+def _start_pool(spec: JobSpec, ctx: RunContext, workers: int) -> None:
+    """Spawn the run's warm pool with the spec's start method and timeout."""
+    from repro.stream.workers import PersistentWorkerPool
+
+    pool = PersistentWorkerPool(
+        workers, mp_context=spec.mp_context, timeout=spec.timeout
+    )
+    # Registered on the context *before* start(): if an interrupt lands
+    # mid-spawn, finish() still reaps it.
+    ctx.pool = pool
+    pool.start()
+
+
 class Executor:
     """Shared executor surface: lifecycle hooks plus the pass strategies.
 
     ``prepare`` runs before the source is opened, ``start`` just after,
     ``finish`` in the run's ``finally``.  The scan passes are identical
     across strategies (the front doors in
-    :mod:`repro.stream.parallel_scan` pick sequential/cold/warm
+    :mod:`repro.stream.parallel_scan` pick sequential or pooled
     internally), so they live here.
     """
 
@@ -65,7 +76,7 @@ class Executor:
 
         return scan_stats(
             ctx.source, ctx.src, spec.metrics_workers, spec.chunk_size,
-            mp_context=spec.mp_context, pool=ctx.pool,
+            pool=ctx.pool,
         )
 
     def scan_quality_pass(self, spec: JobSpec, ctx: RunContext):
@@ -75,8 +86,7 @@ class Executor:
         return scan_quality(
             ctx.source, ctx.src, ctx.stats, spec.k, ctx.parts,
             spec.metrics_workers, spec.chunk_size,
-            memory_budget=spec.memory_budget,
-            mp_context=spec.mp_context, pool=ctx.pool,
+            memory_budget=spec.memory_budget, pool=ctx.pool,
         )
 
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
@@ -96,23 +106,13 @@ class InProcessExecutor(Executor):
     def start(self, spec: JobSpec, ctx: RunContext) -> None:
         """Warm scan pool for the counting/metrics fan-outs, if asked.
 
-        Mirrors the sequential baseline driver: one warm pool serves
-        both scan passes when ``shared_memory`` is set and the source
-        supports parallel scans; the sequential HEP shim passes
-        ``shared_memory=False`` and keeps the PR 5 cold-pool behavior.
+        One pool serves both scan passes when ``metrics_workers > 1``
+        and the source supports parallel scans.
         """
         from repro.stream.parallel_scan import effective_scan_workers
 
-        if spec.shared_memory and effective_scan_workers(
-            ctx.source, spec.metrics_workers
-        ):
-            from repro.stream.workers import PersistentWorkerPool
-
-            # Registered on the context *before* start(): if an
-            # interrupt lands mid-spawn, finish() still reaps it.
-            pool = PersistentWorkerPool(spec.metrics_workers)
-            ctx.pool = pool
-            pool.start()
+        if effective_scan_workers(ctx.source, spec.metrics_workers):
+            _start_pool(spec, ctx, spec.metrics_workers)
 
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
         """Chunked sweeps through the algorithm adapter (one per pass)."""
@@ -177,51 +177,25 @@ class PoolExecutor(Executor):
         if num_edges == 0:
             raise PartitioningError("multi-worker HDRF: edge stream is empty")
         ctx.segments = segments
-        self._spawn_warm_pool(spec, ctx)
+        _start_pool(spec, ctx, spec.workers)
 
     def start(self, spec: JobSpec, ctx: RunContext) -> None:
         """Multi-worker HEP: spawn the warm pool once the source is open."""
         if pipeline_kind(spec) == "hep":
-            self._spawn_warm_pool(spec, ctx)
-
-    def _spawn_warm_pool(self, spec: JobSpec, ctx: RunContext) -> None:
-        """Start the shared-memory warm pool (unless pipes were asked for)."""
-        if not spec.shared_memory:
-            return
-        from repro.stream.workers import PersistentWorkerPool
-
-        pool = PersistentWorkerPool(
-            spec.workers, mp_context=spec.mp_context, timeout=spec.timeout
-        )
-        # Registered on the context *before* start(): if an interrupt
-        # lands mid-spawn, finish() still reaps it.
-        ctx.pool = pool
-        pool.start()
+            _start_pool(spec, ctx, spec.workers)
 
     def _run_bsp(self, spec: JobSpec, segments, state, parts, ctx):
-        """One BSP run over ``segments``: warm shared-memory or pipe pool."""
-        from repro.stream.workers import WorkerPool, run_bsp_shared
+        """One shared-memory BSP run over ``segments`` on the warm pool."""
+        from repro.stream.workers import run_bsp_shared
 
         params = spec.params
-        lam = params.get("lam", 1.1)
-        eps = params.get("eps", 1.0)
-        if ctx.pool is not None:
-            return run_bsp_shared(
-                ctx.pool, segments, state, parts,
-                batch=spec.batch, lam=lam, eps=eps,
-                chunk_size=spec.chunk_size,
-            )
-        with WorkerPool(
-            segments,
-            state,
+        return run_bsp_shared(
+            ctx.pool, segments, state, parts,
             batch=spec.batch,
-            lam=lam,
-            eps=eps,
+            lam=params.get("lam", 1.1),
+            eps=params.get("eps", 1.0),
             chunk_size=spec.chunk_size,
-            mp_context=spec.mp_context,
-            timeout=spec.timeout,
-        ) as pool:
-            return pool.run(parts)
+        )
 
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
         """Informed HDRF over the shard assignment, one process per worker."""

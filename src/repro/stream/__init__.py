@@ -37,11 +37,10 @@ paper compares against:
   OS processes each stream their shard assignment against a shared
   replica/load snapshot under the BSP schedule, bit-identical to the
   in-process :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream`
-  (``partition --workers N --out-of-core``).  By default the snapshot
-  lives in one :mod:`multiprocessing.shared_memory` segment
+  (``partition --workers N --out-of-core``).  The snapshot lives in one
+  :mod:`multiprocessing.shared_memory` segment
   (:class:`~repro.parallel.shm.SharedState`) served to a warm
-  :class:`PersistentWorkerPool`; ``--no-shared-memory`` restores the
-  pickled-delta pipe protocol.
+  :class:`PersistentWorkerPool`.
 """
 
 from repro.stream.buffered import buffered_hdrf_stream, stream_chunks_through_hdrf
@@ -99,7 +98,6 @@ from repro.stream.workers import (
     MultiWorkerStreamingDriver,
     PersistentWorkerPool,
     StateService,
-    WorkerPool,
     plan_worker_segments,
     run_bsp_shared,
     split_spill_round_robin,
@@ -129,7 +127,6 @@ __all__ = [
     "read_spill_header",
     "read_spill_chunks",
     "EdgeSegment",
-    "WorkerPool",
     "PersistentWorkerPool",
     "run_bsp_shared",
     "StateService",

@@ -3,11 +3,11 @@
 PR 4 parallelized the *streaming phase*; this module parallelizes the
 two remaining sequential ``O(m)`` sweeps — the counting pass and the
 quality/metrics pass (:mod:`repro.stream.scan`) — on the same worker
-machinery (:class:`~repro.stream.workers.BaseWorkerPool`, the shard
-assignment of :func:`~repro.stream.workers.plan_worker_segments`, the
-spill-frame wire format).  Both passes are pure order-independent
-reductions, so the parallel runs are **bit-identical** to the
-sequential references:
+machinery: jobs on a :class:`~repro.stream.workers.PersistentWorkerPool`,
+the shard assignment of :func:`~repro.stream.workers.
+plan_worker_segments`, the spill-frame control frames.  Both passes are
+pure order-independent reductions, so the parallel runs are
+**bit-identical** to the sequential references:
 
 * **counting** (:func:`parallel_scan_source`) — each worker sweeps its
   shard assignment accumulating a partial degree array and edge count
@@ -43,6 +43,7 @@ the front doors directly.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import time
@@ -51,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import GraphFormatError, WorkerFailureError
-from repro.obs.tracer import get_tracer, install_collecting_tracer
+from repro.obs.tracer import get_tracer
 from repro.parallel.shm import SharedArray
 from repro.stream.reader import (
     BINARY_SUFFIXES,
@@ -70,13 +71,10 @@ from repro.stream.scan import (
 )
 from repro.stream.shard import is_manifest_path
 from repro.stream.workers import (
-    _claim_pipe,
     _iter_segment,
     _MSG_ERROR,
-    _MSG_TRACE,
     _pack_message,
     _unpack_message,
-    BaseWorkerPool,
     PersistentWorkerPool,
     plan_worker_segments,
 )
@@ -104,7 +102,7 @@ _MSG_COUNTS = b"G"  # worker -> coord: int64 edge count + partial degrees
 _MSG_COVER = b"C"   # worker -> coord: one block's packed cover words
 
 
-def _resurface_error(pool: BaseWorkerPool, w: int, payload) -> None:
+def _resurface_error(pool: PersistentWorkerPool, w: int, payload) -> None:
     """Re-raise a worker's forwarded exception with sequential-pass types.
 
     The scan sweeps are deterministic reads, so a data problem a worker
@@ -154,14 +152,13 @@ def effective_scan_workers(source, workers: int) -> int:
     return workers if workers > 1 and supports_parallel_scan(source) else 0
 
 
-# -- worker entry points ----------------------------------------------------
+# -- job handlers (run on the warm pool's workers) ---------------------------
 
 
-def _run_count(conn, tracer, worker_id: int, segments, chunk_size: int
-               ) -> None:
-    """The counting sweep itself: shared by cold workers and warm jobs."""
+def _count_job(context, *, segments, chunk_size: int) -> None:
+    """Counting sweep: partial degrees + edge count over ``segments``."""
     perf = time.perf_counter
-    with tracer.span("worker_count", worker=worker_id) as span:
+    with context.tracer.span("worker_count", worker=context.worker_id) as span:
         t0 = perf()
         degrees = np.zeros(0, dtype=np.int64)
         num_edges = 0
@@ -180,7 +177,7 @@ def _run_count(conn, tracer, worker_id: int, segments, chunk_size: int
         message = _pack_message(_MSG_COUNTS, degrees.size, payload)
         encode_s = perf() - t0
         t0 = perf()
-        conn.send_bytes(message)
+        context.conn.send_bytes(message)
         send_s = perf() - t0
         for name, value in (
             ("busy_s", busy_s), ("encode_s", encode_s),
@@ -188,115 +185,6 @@ def _run_count(conn, tracer, worker_id: int, segments, chunk_size: int
             ("frames_sent", 1), ("bytes_piped", len(message)),
         ):
             span.add(name, value)
-
-
-def _run_cover(
-    conn, tracer, worker_id: int, segments, chunk_size: int, k: int,
-    parts: np.ndarray, blocks,
-) -> None:
-    """The metrics sweep itself: shared by cold workers and warm jobs."""
-    perf = time.perf_counter
-    with tracer.span("worker_cover", worker=worker_id) as span:
-        busy_s = encode_s = send_s = 0.0
-        edges = piped = 0
-        parts = np.asarray(parts)
-        for index, (lo, hi) in enumerate(blocks):
-            t0 = perf()
-            cover = PackedCover(k, lo, hi)
-            for segment in segments:
-                path = Path(segment.path)
-                for pairs, eids in _iter_segment(segment, chunk_size):
-                    _validate_chunk(pairs, path)
-                    cover.mark_assignment(parts, pairs, eids)
-                    edges += pairs.shape[0]
-            busy_s += perf() - t0
-            t0 = perf()
-            message = _pack_message(
-                _MSG_COVER, index, cover.words.tobytes()
-            )
-            encode_s += perf() - t0
-            t0 = perf()
-            conn.send_bytes(message)
-            send_s += perf() - t0
-            piped += len(message)
-        for name, value in (
-            ("busy_s", busy_s), ("encode_s", encode_s),
-            ("send_s", send_s), ("edges_scanned", edges),
-            ("frames_sent", len(blocks)), ("bytes_piped", piped),
-        ):
-            span.add(name, value)
-
-
-def _counting_worker_main(
-    worker_id: int, pipes: list, segments, chunk_size: int,
-    trace: bool = False,
-) -> None:
-    """One counting worker: partial degrees + edge count over its segments."""
-    conn = _claim_pipe(worker_id, pipes)
-    tracer = install_collecting_tracer(trace)
-    try:
-        _run_count(conn, tracer, worker_id, segments, chunk_size)
-        if trace:
-            conn.send_bytes(
-                _pack_message(_MSG_TRACE, 0, pickle.dumps(tracer.drain()))
-            )
-    except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-        try:
-            conn.send_bytes(
-                _pack_message(
-                    _MSG_ERROR, 0,
-                    pickle.dumps((type(exc).__name__, str(exc))),
-                )
-            )
-        except OSError:
-            pass  # coordinator already gone; exit quietly
-    finally:
-        conn.close()
-
-
-def _cover_worker_main(
-    worker_id: int,
-    pipes: list,
-    segments,
-    chunk_size: int,
-    k: int,
-    parts: np.ndarray,
-    blocks,
-    trace: bool = False,
-) -> None:
-    """One metrics worker: per-block packed covers over its segments."""
-    conn = _claim_pipe(worker_id, pipes)
-    tracer = install_collecting_tracer(trace)
-    try:
-        _run_cover(
-            conn, tracer, worker_id, segments, chunk_size, k, parts, blocks
-        )
-        if trace:
-            conn.send_bytes(
-                _pack_message(_MSG_TRACE, 0, pickle.dumps(tracer.drain()))
-            )
-    except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-        try:
-            conn.send_bytes(
-                _pack_message(
-                    _MSG_ERROR, 0,
-                    pickle.dumps((type(exc).__name__, str(exc))),
-                )
-            )
-        except OSError:
-            pass
-    finally:
-        conn.close()
-
-
-# -- warm-pool job handlers (see workers.PersistentWorkerPool) ---------------
-
-
-def _count_job(context, *, segments, chunk_size: int) -> None:
-    """Counting sweep as a warm-pool job (the job loop owns trace/errors)."""
-    _run_count(
-        context.conn, context.tracer, context.worker_id, segments, chunk_size
-    )
 
 
 def _cover_job(
@@ -310,27 +198,56 @@ def _cover_job(
     parts_dtype: str,
     blocks,
 ) -> None:
-    """Metrics sweep as a warm-pool job.
+    """Metrics sweep: per-block packed covers over ``segments``.
 
     The assignment array arrives as a read-only
     :class:`~repro.parallel.shm.SharedArray` (named by ``parts_name``)
     rather than pickled per job — at millions of edges the assignment
-    is the payload that made cold metrics pools expensive to spawn.
+    is the payload that would dominate the job frame.
     """
+    perf = time.perf_counter
     shared = SharedArray.attach(parts_name, tuple(parts_shape), parts_dtype)
     try:
-        _run_cover(
-            context.conn, context.tracer, context.worker_id, segments,
-            chunk_size, k, shared.array, blocks,
-        )
+        parts = shared.array
+        with context.tracer.span(
+            "worker_cover", worker=context.worker_id
+        ) as span:
+            busy_s = encode_s = send_s = 0.0
+            edges = piped = 0
+            for index, (lo, hi) in enumerate(blocks):
+                t0 = perf()
+                cover = PackedCover(k, lo, hi)
+                for segment in segments:
+                    path = Path(segment.path)
+                    for pairs, eids in _iter_segment(segment, chunk_size):
+                        _validate_chunk(pairs, path)
+                        cover.mark_assignment(parts, pairs, eids)
+                        edges += pairs.shape[0]
+                busy_s += perf() - t0
+                t0 = perf()
+                message = _pack_message(
+                    _MSG_COVER, index, cover.words.tobytes()
+                )
+                encode_s += perf() - t0
+                t0 = perf()
+                context.conn.send_bytes(message)
+                send_s += perf() - t0
+                piped += len(message)
+            for name, value in (
+                ("busy_s", busy_s), ("encode_s", encode_s),
+                ("send_s", send_s), ("edges_scanned", edges),
+                ("frames_sent", len(blocks)), ("bytes_piped", piped),
+            ):
+                span.add(name, value)
     finally:
+        parts = None  # noqa: F841 — drop the view before unmapping
         shared.close()
 
 
-# -- pools ------------------------------------------------------------------
+# -- coordinator side ---------------------------------------------------------
 
 
-def _merge_counts(pool: BaseWorkerPool) -> tuple[np.ndarray, int]:
+def _merge_counts(pool: PersistentWorkerPool) -> tuple[np.ndarray, int]:
     """Sum every worker's partial degrees; returns (degrees, edges)."""
     degrees = np.zeros(0, dtype=np.int64)
     num_edges = 0
@@ -356,7 +273,7 @@ def _merge_counts(pool: BaseWorkerPool) -> tuple[np.ndarray, int]:
 
 
 def _merge_cover_block(
-    pool: BaseWorkerPool, k: int, index: int, lo: int, hi: int
+    pool: PersistentWorkerPool, k: int, index: int, lo: int, hi: int
 ) -> int:
     """OR every worker's cover for one block; returns its set bits."""
     merged = PackedCover(k, lo, hi)
@@ -373,54 +290,65 @@ def _merge_cover_block(
     return merged.count()
 
 
-class _CountingPool(BaseWorkerPool):
-    """Map-reduce pool for the counting pass (one message per worker)."""
+@contextlib.contextmanager
+def _scan_round(source, workers: int, pool, name: str, **attrs):
+    """One sweep job on ``pool`` (or a one-pass pool): yields the round.
 
-    _worker_target = staticmethod(_counting_worker_main)
+    Plans the segments before any process exists, so a bad source fails
+    without spawning.  The sweep fans over ``min(workers, pool size)``
+    streams (both reductions are order-independent sums/ORs, so any fan
+    is bit-identical); spare workers get empty segment lists so every
+    job round hears from the whole pool.  With ``pool=None`` a pool of
+    ``workers`` processes is spawned for this sweep alone and shut down
+    after it.
 
-    def __init__(self, worker_segments, chunk_size, **kwargs) -> None:
-        super().__init__(worker_segments, **kwargs)
-        self.chunk_size = int(chunk_size)
+    Yields ``(pool, padded, planned_edges, declared_vertices)`` inside a
+    ``pool_run`` span named ``name``; the pool's per-frame watchdog is
+    widened to :data:`DEFAULT_SCAN_TIMEOUT` for the duration (a scan
+    worker's first bytes arrive only after its whole sweep) and the
+    worker spans are adopted when the caller's merge completes.
+    """
+    fan = int(workers)
+    if pool is not None:
+        fan = max(1, min(fan, pool.workers))
+    segments, _, planned_edges, declared = plan_worker_segments(source, fan)
+    owned = pool is None
+    if owned:
+        pool = PersistentWorkerPool(fan)
+    try:
+        if owned:
+            pool.start()
+        padded = [list(segs) for segs in segments]
+        padded += [[] for _ in range(pool.workers - fan)]
+        saved_timeout = pool.timeout
+        pool.timeout = max(saved_timeout, DEFAULT_SCAN_TIMEOUT)
+        try:
+            with get_tracer().span(
+                "pool_run", pool=name, workers=len(padded), **attrs
+            ) as span:
+                recv0 = pool.recv_wait_s
+                frames0 = pool.frames_recv
+                bytes0 = pool.bytes_recv
+                yield pool, padded, planned_edges, declared
+                pool.collect_worker_spans()
+                span.add("recv_wait_s", pool.recv_wait_s - recv0)
+                span.add("frames_sent", pool.frames_recv - frames0)
+                span.add("bytes_piped", pool.bytes_recv - bytes0)
+        finally:
+            pool.timeout = saved_timeout
+    finally:
+        if owned:
+            pool.shutdown()
 
-    def _spawn_args(self, worker_id: int) -> tuple:
-        return (self.chunk_size,)
 
-    def merge(self) -> tuple[np.ndarray, int]:
-        """Sum every worker's partial degrees; returns (degrees, edges)."""
-        return _merge_counts(self)
-
-
-class _CoverPool(BaseWorkerPool):
-    """Map-reduce pool for the metrics pass (one message per block)."""
-
-    _worker_target = staticmethod(_cover_worker_main)
-
-    def __init__(
-        self, worker_segments, chunk_size, k, parts, blocks, **kwargs
-    ) -> None:
-        super().__init__(worker_segments, **kwargs)
-        self.chunk_size = int(chunk_size)
-        self.k = int(k)
-        self.parts = parts
-        self.blocks = list(blocks)
-
-    def _spawn_args(self, worker_id: int) -> tuple:
-        return (self.chunk_size, self.k, self.parts, self.blocks)
-
-    def merge_block(self, index: int, lo: int, hi: int) -> int:
-        """OR every worker's cover for one block; returns its set bits."""
-        return _merge_cover_block(self, self.k, index, lo, hi)
-
-
-# -- coordinator entry points -----------------------------------------------
+# -- coordinator entry points -------------------------------------------------
 
 
 def parallel_scan_source(
     source,
     workers: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
+    pool: "PersistentWorkerPool | None" = None,
 ) -> SourceStats:
     """Counting pass on ``workers`` processes — ≡ :func:`scan_source`.
 
@@ -430,22 +358,17 @@ def parallel_scan_source(
     degree array and edge count and the coordinator sums them — the
     same integers the sequential sweep accumulates, in a different
     order, so the merged :class:`~repro.stream.scan.SourceStats` is
-    bit-identical.
+    bit-identical.  A warm ``pool`` reuses already-spawned workers;
+    without one a pool is spawned for this pass alone.
     """
-    segments, _, planned_edges, declared = plan_worker_segments(
-        source, workers
-    )
-    with _CountingPool(
-        segments, chunk_size, mp_context=mp_context, timeout=timeout
-    ) as pool:
-        with get_tracer().span(
-            "pool_run", pool="count", workers=workers
-        ) as span:
-            degrees, num_edges = pool.merge()
-            pool.collect_worker_spans()
-            span.add("recv_wait_s", pool.recv_wait_s)
-            span.add("frames_sent", pool.frames_recv)
-            span.add("bytes_piped", pool.bytes_recv)
+    with _scan_round(source, workers, pool, "count") as round_:
+        pool, padded, planned_edges, declared = round_
+        pool.submit(
+            _count_job,
+            [dict(segments=segs, chunk_size=chunk_size) for segs in padded],
+            segments=padded,
+        )
+        degrees, num_edges = _merge_counts(pool)
     if num_edges != planned_edges:
         raise GraphFormatError(
             f"{source}: parallel counting pass saw {num_edges} edges but "
@@ -462,8 +385,7 @@ def parallel_chunked_quality(
     workers: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     memory_budget: int | None = None,
-    mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
+    pool: "PersistentWorkerPool | None" = None,
 ) -> tuple[float, float]:
     """Metrics pass on ``workers`` processes — ≡ :func:`chunked_quality`.
 
@@ -473,140 +395,28 @@ def parallel_chunked_quality(
     the coordinator ORs them and popcounts the merge.  Cover bits are
     idempotent under OR, so the merged count equals the sequential
     sweep's exactly and the returned floats are bit-identical.
-    """
-    sizes = np.bincount(parts[parts >= 0], minlength=k)
-    if stats.num_edges == 0:
-        return 0.0, 1.0
-    blocks = plan_cover_blocks(stats.num_vertices, k, memory_budget)
-    segments, _, _, _ = plan_worker_segments(source, workers)
-    replicas = 0
-    with _CoverPool(
-        segments, chunk_size, k, parts, blocks,
-        mp_context=mp_context, timeout=timeout,
-    ) as pool:
-        with get_tracer().span(
-            "pool_run", pool="cover", workers=workers, blocks=len(blocks)
-        ) as span:
-            for index, (lo, hi) in enumerate(blocks):
-                replicas += pool.merge_block(index, lo, hi)
-            pool.collect_worker_spans()
-            span.add("recv_wait_s", pool.recv_wait_s)
-            span.add("frames_sent", pool.frames_recv)
-            span.add("bytes_piped", pool.bytes_recv)
-    covered = int((stats.degrees > 0).sum())
-    rf = float(replicas / covered) if covered else 0.0
-    balance = float(sizes.max() / (stats.num_edges / k))
-    return rf, balance
-
-
-# -- warm-pool runners -------------------------------------------------------
-
-
-def _pooled_fan(
-    source, workers: int, pool: PersistentWorkerPool
-) -> tuple[tuple, list]:
-    """Plan a scan's segments for a warm pool: ``(plan, padded)``.
-
-    ``plan`` is ``(segments, planned_edges, declared_vertices)`` from
-    :func:`~repro.stream.workers.plan_worker_segments`.
-
-    The sweep fans over ``min(workers, pool size)`` streams (both
-    reductions are order-independent sums/ORs, so any fan is
-    bit-identical); spare workers get empty segment lists so every job
-    round hears from the whole pool.
-    """
-    fan = max(1, min(int(workers), pool.workers))
-    segments, _, planned_edges, declared = plan_worker_segments(source, fan)
-    padded = [list(segs) for segs in segments]
-    padded += [[] for _ in range(pool.workers - fan)]
-    return (segments, planned_edges, declared), padded
-
-
-def _pooled_scan_source(
-    source,
-    workers: int,
-    pool: PersistentWorkerPool,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> SourceStats:
-    """Counting pass on a warm pool — ≡ :func:`parallel_scan_source`.
-
-    The pool's per-frame watchdog is widened to the scan default for
-    the duration (a scan worker's first bytes arrive only after its
-    whole sweep) and restored after.
-    """
-    (_, planned_edges, declared), padded = _pooled_fan(
-        source, workers, pool
-    )
-    saved_timeout = pool.timeout
-    pool.timeout = max(saved_timeout, DEFAULT_SCAN_TIMEOUT)
-    try:
-        with get_tracer().span(
-            "pool_run", pool="count", workers=len(padded)
-        ) as span:
-            recv0 = pool.recv_wait_s
-            frames0 = pool.frames_recv
-            bytes0 = pool.bytes_recv
-            pool.submit(
-                _count_job,
-                [
-                    dict(segments=segs, chunk_size=chunk_size)
-                    for segs in padded
-                ],
-                segments=padded,
-            )
-            degrees, num_edges = _merge_counts(pool)
-            pool.collect_worker_spans()
-            span.add("recv_wait_s", pool.recv_wait_s - recv0)
-            span.add("frames_sent", pool.frames_recv - frames0)
-            span.add("bytes_piped", pool.bytes_recv - bytes0)
-    finally:
-        pool.timeout = saved_timeout
-    if num_edges != planned_edges:
-        raise GraphFormatError(
-            f"{source}: parallel counting pass saw {num_edges} edges but "
-            f"the source declares {planned_edges}; it changed on disk"
-        )
-    return finalize_source_stats(degrees, num_edges, declared, str(source))
-
-
-def _pooled_chunked_quality(
-    source,
-    stats: SourceStats,
-    k: int,
-    parts: np.ndarray,
-    workers: int,
-    pool: PersistentWorkerPool,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    memory_budget: int | None = None,
-) -> tuple[float, float]:
-    """Metrics pass on a warm pool — ≡ :func:`parallel_chunked_quality`.
 
     The assignment is published once as a shared segment instead of
-    being pickled into every spawn; it is closed and unlinked before
-    returning on every path.
+    being pickled into every job; it is closed and unlinked before
+    returning on every path.  ``pool`` is as in
+    :func:`parallel_scan_source`.
     """
     sizes = np.bincount(parts[parts >= 0], minlength=k)
     if stats.num_edges == 0:
         return 0.0, 1.0
     blocks = plan_cover_blocks(stats.num_vertices, k, memory_budget)
-    _, padded = _pooled_fan(source, workers, pool)
     parts = np.ascontiguousarray(parts)
     replicas = 0
-    saved_timeout = pool.timeout
-    pool.timeout = max(saved_timeout, DEFAULT_SCAN_TIMEOUT)
     # Created inside the try: an interrupt landing after create() —
     # even before the pool round starts — must still reach the
     # finally-unlink.
     shared_parts = None
     try:
         shared_parts = SharedArray.create(parts)
-        with get_tracer().span(
-            "pool_run", pool="cover", workers=len(padded),
-            blocks=len(blocks),
-        ) as span:
-            recv0 = pool.recv_wait_s
-            frames0 = pool.frames_recv
-            bytes0 = pool.bytes_recv
+        with _scan_round(
+            source, workers, pool, "cover", blocks=len(blocks)
+        ) as round_:
+            pool, padded, _, _ = round_
             pool.submit(
                 _cover_job,
                 [
@@ -625,12 +435,7 @@ def _pooled_chunked_quality(
             )
             for index, (lo, hi) in enumerate(blocks):
                 replicas += _merge_cover_block(pool, k, index, lo, hi)
-            pool.collect_worker_spans()
-            span.add("recv_wait_s", pool.recv_wait_s - recv0)
-            span.add("frames_sent", pool.frames_recv - frames0)
-            span.add("bytes_piped", pool.bytes_recv - bytes0)
     finally:
-        pool.timeout = saved_timeout
         if shared_parts is not None:
             shared_parts.close()
             shared_parts.unlink()
@@ -648,8 +453,6 @@ def scan_stats(
     opened: EdgeChunkSource,
     workers: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
     pool: "PersistentWorkerPool | None" = None,
 ) -> SourceStats:
     """Counting pass, parallel when it can be: the drivers' front door.
@@ -658,18 +461,13 @@ def scan_stats(
     worker segments when it is segmentable), ``opened`` the chunk
     source already opened from it (used for the sequential fallback, so
     prefetch/mmap wrappers keep serving the sequential path).  A warm
-    ``pool`` reuses already-spawned workers instead of forking a
-    one-shot pool (same result, bit for bit).
+    ``pool`` reuses already-spawned workers instead of spawning a pool
+    for this pass (same result, bit for bit).
     """
     parallel = effective_scan_workers(source, workers)
     with get_tracer().span("count_pass", workers=parallel) as span:
-        if parallel and pool is not None:
-            stats = _pooled_scan_source(source, workers, pool, chunk_size)
-        elif parallel:
-            stats = parallel_scan_source(
-                source, workers, chunk_size, mp_context=mp_context,
-                timeout=timeout,
-            )
+        if parallel:
+            stats = parallel_scan_source(source, workers, chunk_size, pool)
         else:
             stats = scan_source(opened)
         span.add("edges_scanned", stats.num_edges)
@@ -685,23 +483,15 @@ def scan_quality(
     workers: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     memory_budget: int | None = None,
-    mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
     pool: "PersistentWorkerPool | None" = None,
 ) -> tuple[float, float]:
     """Metrics pass, parallel when it can be: the drivers' front door."""
     parallel = effective_scan_workers(source, workers)
     with get_tracer().span("metrics_pass", workers=parallel) as span:
-        if parallel and pool is not None:
-            quality = _pooled_chunked_quality(
-                source, stats, k, parts, workers, pool, chunk_size,
-                memory_budget=memory_budget,
-            )
-        elif parallel:
+        if parallel:
             quality = parallel_chunked_quality(
                 source, stats, k, parts, workers, chunk_size,
-                memory_budget=memory_budget, mp_context=mp_context,
-                timeout=timeout,
+                memory_budget=memory_budget, pool=pool,
             )
         else:
             quality = chunked_quality(opened, stats, k, parts, memory_budget)

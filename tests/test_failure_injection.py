@@ -153,9 +153,14 @@ class TestMultiWorkerFailures:
         return graph, manifest
 
     def _pool(self, graph, manifest, workers=2, batch=2):
+        """An unstarted pool plus a callable running one BSP job on it."""
         from repro.partition.base import capacity_bound
         from repro.partition.state import StreamingState
-        from repro.stream import WorkerPool, plan_worker_segments
+        from repro.stream import (
+            PersistentWorkerPool,
+            plan_worker_segments,
+            run_bsp_shared,
+        )
 
         segments, _, _, _ = plan_worker_segments(manifest.path, workers)
         capacity = capacity_bound(graph.num_edges, 4, 1.0)
@@ -163,18 +168,22 @@ class TestMultiWorkerFailures:
             graph.num_vertices, 4, capacity, exact_degrees=graph.degrees
         )
         parts = np.full(graph.num_edges, -1, dtype=np.int32)
-        pool = WorkerPool(
-            segments, state, batch=batch, chunk_size=64, timeout=30.0
-        )
-        return pool, parts
+        pool = PersistentWorkerPool(workers, timeout=30.0)
+
+        def run():
+            return run_bsp_shared(
+                pool, segments, state, parts, batch=batch, chunk_size=64
+            )
+
+        return pool, run
 
     def test_killed_worker_raises_and_leaves_no_orphans(self, sharded):
         graph, manifest = sharded
-        pool, parts = self._pool(graph, manifest)
+        pool, run = self._pool(graph, manifest)
         pool.start()
         os.kill(pool.pids[1], signal.SIGKILL)
         with pytest.raises(WorkerFailureError, match=r"worker 1 .*died"):
-            pool.run(parts)
+            run()
         pool.close()
         assert multiprocessing.active_children() == []
 
@@ -186,10 +195,10 @@ class TestMultiWorkerFailures:
         shard = manifest.shard_paths[2]
         data = shard.read_bytes()
         shard.write_bytes(data[: len(data) // 2 - 3])
-        pool, parts = self._pool(graph, manifest)
+        pool, run = self._pool(graph, manifest)
         with pool:
             with pytest.raises(WorkerFailureError) as excinfo:
-                pool.run(parts)
+                run()
         message = str(excinfo.value)
         assert "worker 0" in message
         assert "shard-0002" in message
@@ -215,11 +224,11 @@ class TestMultiWorkerFailures:
         from repro.stream import MultiWorkerStreamingDriver
 
         graph, manifest = sharded
-        pool, parts = self._pool(graph, manifest)
+        pool, run = self._pool(graph, manifest)
         pool.start()
         os.kill(pool.pids[0], signal.SIGKILL)
         with pytest.raises(WorkerFailureError):
-            pool.run(parts)
+            run()
         pool.close()
         result = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
             manifest.path, 4
@@ -229,7 +238,7 @@ class TestMultiWorkerFailures:
 
     def test_pool_close_is_idempotent(self, sharded):
         graph, manifest = sharded
-        pool, parts = self._pool(graph, manifest)
+        pool, _ = self._pool(graph, manifest)
         pool.start()
         pool.close()
         pool.close()
@@ -296,7 +305,7 @@ class TestWarmPoolFailures:
 
         graph, manifest = sharded
         # Truncate shard 2 (owned by worker 0) after planning — hit
-        # mid-stream by the warm worker, like the pipe-path test above.
+        # mid-stream by the warm worker, like the close()-path test above.
         shard = manifest.shard_paths[2]
         data = shard.read_bytes()
         shard.write_bytes(data[: len(data) // 2 - 3])
@@ -341,3 +350,34 @@ class TestWarmPoolFailures:
         pool.shutdown()
         pool.shutdown()
         assert multiprocessing.active_children() == []
+
+    def test_full_dev_shm_is_one_typed_error(self, sharded, monkeypatch):
+        """A /dev/shm too small for the segment fails up front, cleanly.
+
+        ``posix_fallocate`` reports ``ENOSPC`` exactly as it does on a
+        tmpfs smaller than the segment; without the reservation the
+        first write past capacity would be a ``SIGBUS``.
+        """
+        import errno
+
+        from repro.runtime import make_job, run_job
+
+        if not hasattr(os, "posix_fallocate"):
+            pytest.skip("no posix_fallocate on this platform")
+        _, manifest = sharded
+        before = self._psm_segments()
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        spec = make_job("HDRF", manifest.path, 4, workers=2, batch=4)
+        with pytest.raises(ReproError) as excinfo:
+            run_job(spec)
+        assert excinfo.type is ConfigurationError
+        message = str(excinfo.value)
+        assert "/dev/shm" in message and "bytes" in message
+        assert "--shm-size" in message and "workers=0" in message
+        assert multiprocessing.active_children() == []
+        if before is not None:
+            assert self._psm_segments() - before == set()

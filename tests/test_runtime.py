@@ -113,7 +113,6 @@ class TestContentHash:
             make_job("HDRF", "OK", 4, prefetch=4),
             make_job("HDRF", "OK", 4, mmap=True),
             make_job("HDRF", "OK", 4, metrics_workers=2),
-            make_job("HDRF", "OK", 4, shared_memory=False),
             make_job("HDRF", "OK", 4, spill_dir=str(tmp_path)),
             make_job("HDRF", "OK", 4, trace_path="t.jsonl"),
         ):
@@ -265,6 +264,34 @@ class TestArtifactCache:
         result = run_job(spec, source=edge_file, store=store)
         assert not result.cache_hit
         assert (store.hits, store.misses) == (0, 0)
+
+
+class TestExecutorPools:
+    def test_in_process_scan_pool_follows_the_spec(
+        self, edge_file, monkeypatch
+    ):
+        """Sequential HEP's scan pool takes mp_context/timeout from the spec."""
+        from repro.stream.workers import PersistentWorkerPool
+
+        started = []
+        original = PersistentWorkerPool.start
+
+        def recording_start(pool):
+            started.append((pool.workers, pool.mp_context, pool.timeout))
+            return original(pool)
+
+        monkeypatch.setattr(PersistentWorkerPool, "start", recording_start)
+        pooled = run_job(make_job(
+            "HEP", edge_file, 4, tau=2.0, chunk_size=256,
+            metrics_workers=2, mp_context="spawn", timeout=45.0,
+        ))
+        assert started == [(2, "spawn", 45.0)]
+        sequential = run_job(make_job(
+            "HEP", edge_file, 4, tau=2.0, chunk_size=256,
+        ))
+        assert np.array_equal(pooled.parts, sequential.parts)
+        assert pooled.replication_factor == sequential.replication_factor
+        assert pooled.edge_balance == sequential.edge_balance
 
 
 class TestJobCli:

@@ -165,6 +165,10 @@ class TestSubmitValidation:
                 await manager.submit({"source": str(edge_file)})
             with pytest.raises(SubmitError, match="unknown submit key"):
                 await manager.submit(_payload(edge_file, bogus=1))
+            with pytest.raises(SubmitError, match="unknown submit key"):
+                await manager.submit(
+                    _payload(edge_file, shared_memory=False)
+                )
             with pytest.raises(SubmitError, match="no such edge file"):
                 await manager.submit(_payload(tmp_path / "missing.bin"))
             with pytest.raises(SubmitError, match="invalid job spec"):

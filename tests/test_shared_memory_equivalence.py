@@ -1,17 +1,16 @@
-"""Differential harness pinning the shared-memory protocol to the pipe path.
+"""Differential harness pinning the shared-memory protocol to its oracles.
 
-PR 7 swaps the BSP data plane: worker batches land in scratch lanes of
-one shared segment and the coordinator publishes snapshots by flipping a
-double buffer, instead of pickling deltas over pipes.  The load-bearing
-property is that nothing observable changes — the shared-memory run, the
-PR 4 pipe run, and the in-process ``bsp_hdrf_stream`` oracle are
-**bit-identical** for any graph × workers × batch, for informed HDRF and
-for HEP's phase two alike.  This file pins that three-way equivalence
-(fixed schedules plus a Hypothesis property), the commit/aging contract
-of :class:`~repro.parallel.shm.SharedState`, the bitwise equality of
-:class:`~repro.parallel.kernel.FusedBatchScorer` against the reference
-scorer, warm-pool reuse across jobs, and the no-leaked-segments
-invariant the CI gate also enforces.
+The BSP data plane lives in shared memory: worker batches land in
+scratch lanes of one segment and the coordinator publishes snapshots by
+flipping a double buffer.  The load-bearing property is that the
+multi-process run is **bit-identical** to the in-process oracles for any
+graph × workers × batch — ``bsp_hdrf_stream`` for informed HDRF and
+``ParallelHepPartitioner`` for HEP's phase two.  This file pins that
+equivalence (fixed schedules plus a Hypothesis property), the
+commit/aging contract of :class:`~repro.parallel.shm.SharedState`, the
+bitwise equality of :class:`~repro.parallel.kernel.FusedBatchScorer`
+against the reference scorer, warm-pool reuse across jobs, and the
+no-leaked-segments invariant the CI gate also enforces.
 """
 
 from pathlib import Path
@@ -26,6 +25,7 @@ from repro.errors import ConfigurationError
 from repro.graph.generators import chung_lu
 from repro.parallel import (
     FusedBatchScorer,
+    ParallelHepPartitioner,
     SharedArray,
     SharedState,
     bsp_hdrf_stream,
@@ -307,14 +307,8 @@ class TestHdrfDifferential:
         self, graph, manifest, workers, batch
     ):
         shm = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=True
+            workers=workers, batch=batch
         ).partition(manifest.path, 8)
-        pipe = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=False
-        ).partition(manifest.path, 8)
-        np.testing.assert_array_equal(shm.parts, pipe.parts)
-        assert shm.replication_factor == pipe.replication_factor
-        assert shm.edge_balance == pipe.edge_balance
         _, streams, _, _ = plan_worker_segments(manifest.path, workers)
         oracle = _oracle_parts(graph, workers, batch, streams)
         np.testing.assert_array_equal(shm.parts, oracle)
@@ -331,16 +325,14 @@ class TestHdrfDifferential:
 
 
 class TestHepDifferential:
-    def test_shm_matches_pipe(self, manifest):
+    def test_shm_matches_parallel_hep_oracle(self, graph, manifest):
         shm = MultiWorkerHep(workers=2, batch=8, tau=2.0).partition(
             manifest.path, 8
         )
-        pipe = MultiWorkerHep(
-            workers=2, batch=8, tau=2.0, shared_memory=False
-        ).partition(manifest.path, 8)
-        np.testing.assert_array_equal(shm.parts, pipe.parts)
-        assert shm.replication_factor == pipe.replication_factor
-        assert shm.edge_balance == pipe.edge_balance
+        oracle = ParallelHepPartitioner(
+            tau=2.0, workers=2, batch=8
+        ).partition(graph, 8)
+        np.testing.assert_array_equal(shm.parts, oracle.parts)
 
     def test_single_worker_matches_sequential_hep(self, manifest):
         seq = OutOfCoreHep(tau=2.0).partition(manifest.path, 8)
@@ -427,11 +419,8 @@ class TestEquivalenceProperty:
         out = tmp_path_factory.mktemp("shm-prop") / "g.manifest.json"
         manifest = write_sharded_edges(graph, out, num_shards=num_shards)
         shm = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=True
+            workers=workers, batch=batch
         ).partition(manifest.path, 4)
-        pipe = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=False
-        ).partition(manifest.path, 4)
-        np.testing.assert_array_equal(shm.parts, pipe.parts)
-        assert shm.replication_factor == pipe.replication_factor
-        assert shm.edge_balance == pipe.edge_balance
+        _, streams, _, _ = plan_worker_segments(manifest.path, workers)
+        oracle = _oracle_parts(graph, workers, batch, streams, k=4)
+        np.testing.assert_array_equal(shm.parts, oracle)

@@ -77,7 +77,7 @@ def validate_workers_record(record: dict) -> None:
         try:
             protocol = _require(row, "protocol", str)
             if protocol not in (
-                "sequential", "shared-memory", "pipes", "cold", "cached"
+                "sequential", "shared-memory", "cold", "cached"
             ):
                 raise SchemaError(f"unknown protocol {protocol!r}")
             _require(row, "rf", float, positive=True)
@@ -85,7 +85,7 @@ def validate_workers_record(record: dict) -> None:
         except SchemaError as exc:
             raise SchemaError(f"rows[{i}]: {exc}") from None
         protocols.add(protocol)
-    for needed in ("sequential", "shared-memory", "pipes", "cold", "cached"):
+    for needed in ("sequential", "shared-memory", "cold", "cached"):
         if needed not in protocols:
             raise SchemaError(f"no {needed!r} row — protocol pairing lost")
     by_protocol = {row["protocol"]: row for row in rows}
