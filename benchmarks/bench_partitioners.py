@@ -6,10 +6,13 @@ meaningful — the comparative timing table is the pure-Python analogue of
 the paper's run-time panels.
 """
 
+import numpy as np
 import pytest
 
+from repro.core import HepPartitioner
 from repro.experiments.common import make_partitioner
 from repro.graph import datasets
+from repro.partition import StreamingState, capacity_bound, hdrf_stream
 
 _K = 32
 _NAMES = ("DBH", "Grid", "HDRF", "HEP-100", "HEP-10", "HEP-1", "NE", "NE++", "SNE")
@@ -23,6 +26,35 @@ def ok_graph():
 @pytest.mark.parametrize("name", _NAMES)
 def bench_partitioner(benchmark, ok_graph, name):
     partitioner = make_partitioner(name)
+    assignment = benchmark.pedantic(
+        partitioner.partition, args=(ok_graph, _K), rounds=2, iterations=1,
+        warmup_rounds=0,
+    )
+    assert assignment.num_unassigned == 0
+
+
+def bench_hdrf_stream(benchmark, ok_graph):
+    """The HDRF kernel alone: every edge, in one call, from fresh state."""
+    m = ok_graph.num_edges
+
+    def run():
+        state = StreamingState.fresh(ok_graph, _K, capacity_bound(m, _K))
+        parts = np.full(m, -1, dtype=np.int64)
+        hdrf_stream(state, ok_graph.edges, np.arange(m), parts)
+        return parts
+
+    parts = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
+    assert (parts >= 0).all()
+
+
+@pytest.mark.parametrize("buffer_size", [2, 16, 256])
+def bench_buffered_hdrf_stream(benchmark, ok_graph, buffer_size):
+    """HEP (tau=1) whose phase two commits through the buffered window.
+
+    Each round commits half the window in one ``hdrf_stream`` call, so
+    ``buffer_size=2`` is the kernel's per-call overhead, one edge a call.
+    """
+    partitioner = HepPartitioner(tau=1.0, buffer_size=buffer_size)
     assignment = benchmark.pedantic(
         partitioner.partition, args=(ok_graph, _K), rounds=2, iterations=1,
         warmup_rounds=0,

@@ -27,6 +27,7 @@ never changes results, only observes them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -908,16 +909,24 @@ def main(argv: list[str] | None = None) -> int:
         if trace_path is None:
             if getattr(args, "trace_memory", None) is not None:
                 raise ReproError("--trace-memory requires --trace")
-            return args.func(args)
-        with tracing(trace_path, memory=args.trace_memory) as tracer:
             rc = args.func(args)
-            spans = tracer.num_spans
-        print(f"trace written      : {trace_path} ({spans} spans; "
-              f"`repro trace summarize {trace_path}`)")
+        else:
+            with tracing(trace_path, memory=args.trace_memory) as tracer:
+                rc = args.func(args)
+                spans = tracer.num_spans
+            print(f"trace written      : {trace_path} ({spans} spans; "
+                  f"`repro trace summarize {trace_path}`)")
+        sys.stdout.flush()
         return rc
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (`repro trace summarize t.jsonl |
+        # head`): drop the rest of the output, as a tool stopped by SIGPIPE
+        # would, so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

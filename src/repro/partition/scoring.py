@@ -1,8 +1,12 @@
 """Scoring functions for stateful streaming partitioning (Algorithm 4).
 
-Each scorer rates the placement of one edge on *all* ``k`` partitions at
-once (a numpy vector), so the per-edge cost is a handful of vectorized
-operations instead of a Python loop over partitions.
+Each scorer rates the placement of an edge on *all* ``k`` partitions at
+once, as a numpy vector.  :func:`hdrf_scores` is the reference form of
+the HDRF score: ADWISE ranks its window with it, and the per-edge oracle
+the HDRF kernel is tested against is built on it.  The hot sequential
+path, :func:`~repro.partition.hdrf.hdrf_stream`, does not call it per
+edge; it repeats the same float operations on Python scalars, which
+costs less than a dozen numpy dispatches on ``k``-element arrays.
 
 The HDRF score follows Petroni et al. (CIKM'15), the configuration the
 paper uses for both the standalone HDRF baseline and HEP's streaming

@@ -1,9 +1,17 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.obs.tracer import TRACE_VERSION, Tracer
 from repro.graph import Graph, write_binary_edgelist, write_text_edgelist
 
 
@@ -699,6 +707,30 @@ class TestTraceFlags:
         rc = main(["scan", str(small_graph_file), "--trace-memory", "rss"])
         assert rc == 1
         assert "--trace-memory requires --trace" in capsys.readouterr().err
+
+    def test_summarize_into_a_closed_pipe_exits_cleanly(self, tmp_path):
+        """``repro trace summarize t.jsonl | head -1`` exits 0, no traceback."""
+        tracer = Tracer(None)
+        for i in range(20_000):  # a summary far larger than a pipe buffer
+            with tracer.span(f"span_{i}"):
+                pass
+        header = {"type": "trace", "version": TRACE_VERSION, "memory": None}
+        trace = tmp_path / "wide.trace.jsonl"
+        trace.write_text(
+            "".join(json.dumps(r) + "\n" for r in [header, *tracer.drain()]),
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "summarize", str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"trace: 20000 spans")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert b"Traceback" not in err and b"BrokenPipe" not in err
 
     def test_summarize_rejects_non_trace_file(self, small_graph_file, capsys):
         rc = main(["trace", "summarize", str(small_graph_file)])
