@@ -37,7 +37,8 @@ from repro.obs.summary import (
     validate_profile_record,
 )
 from repro.obs.tracer import Tracer, set_tracer
-from repro.stream import MultiWorkerStreamingDriver, write_sharded_edges
+from repro.runtime import make_job, run_job
+from repro.stream import write_sharded_edges
 
 _K = 8
 _BATCH = 16
@@ -56,12 +57,11 @@ def manifest(tmp_path_factory):
 
 def _traced_run(manifest, workers: int) -> dict:
     """One traced partition run, reduced to a profile row."""
+    spec = make_job("HDRF", manifest.path, _K, workers=workers, batch=_BATCH)
     tracer = Tracer(None)  # collect mode: spans buffered, no file
     previous = set_tracer(tracer)
     try:
-        MultiWorkerStreamingDriver(
-            workers=workers, batch=_BATCH
-        ).partition(manifest.path, _K)
+        run_job(spec, source=manifest.path)
     finally:
         set_tracer(previous)
     breakdown = phase_breakdown(tracer.drain())

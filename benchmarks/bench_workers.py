@@ -47,12 +47,7 @@ import pytest
 
 from repro.graph import datasets
 from repro.runtime import ArtifactStore, make_job, run_job
-from repro.stream import (
-    MultiWorkerStreamingDriver,
-    StreamingPartitionerDriver,
-    plan_worker_segments,
-    write_sharded_edges,
-)
+from repro.stream import plan_worker_segments, write_sharded_edges
 
 _K = 8
 _BATCH = 16
@@ -90,11 +85,10 @@ def bench_multi_worker_scaling(manifest, capsys, tmp_path):
     must beat 1 worker by >= 1.3x — measured where the host has >= 4
     cores, by the shard work-split model where it does not.
     """
-    seq_s, seq = _best_of(
-        lambda: StreamingPartitionerDriver(
-            "HDRF", exact_degrees=True
-        ).partition(manifest.path, _K)
+    seq_spec = make_job(
+        "HDRF", manifest.path, _K, algo_params={"exact_degrees": True}
     )
+    seq_s, seq = _best_of(lambda: run_job(seq_spec, source=manifest.path))
     rows = [
         {
             "driver": "sequential single-worker (HDRF informed)",
@@ -109,10 +103,11 @@ def bench_multi_worker_scaling(manifest, capsys, tmp_path):
     ]
     shm_seconds: dict[int, float] = {}
     for workers in _WORKER_COUNTS:
+        spec = make_job(
+            "HDRF", manifest.path, _K, workers=workers, batch=_BATCH
+        )
         run_s, run = _best_of(
-            lambda w=workers: MultiWorkerStreamingDriver(
-                workers=w, batch=_BATCH
-            ).partition(manifest.path, _K)
+            lambda spec=spec: run_job(spec, source=manifest.path)
         )
         shm_seconds[workers] = run_s
         rows.append(

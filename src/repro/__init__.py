@@ -57,7 +57,7 @@ from repro.partition import (
     SimpleHybridPartitioner,
     SnePartitioner,
 )
-from repro.stream import OutOfCoreHep, SpillFile, open_edge_source
+from repro.stream import SpillFile, open_edge_source
 
 __version__ = "1.0.0"
 
@@ -102,7 +102,6 @@ __all__ = [
     "SimpleHybridPartitioner",
     "RestreamingHdrfPartitioner",
     # out-of-core streaming I/O
-    "OutOfCoreHep",
     "SpillFile",
     "open_edge_source",
 ]

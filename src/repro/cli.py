@@ -178,9 +178,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _job_spec_from_args(args: argparse.Namespace):
     """Lower the ``partition`` flag set to a runtime JobSpec.
 
-    Mirrors the legacy drivers' defaulting policies exactly: the
-    multi-worker drivers default their scan parallelism to the worker
-    count, and ``--batch`` falls back to the BSP default.
+    A worker run scans with the worker count unless
+    ``--metrics-workers`` says otherwise, and ``--batch`` falls back to
+    the BSP default.
     """
     from repro.runtime.spec import make_job
     from repro.stream.workers import DEFAULT_WORKER_BATCH
@@ -206,8 +206,7 @@ def _job_spec_from_args(args: argparse.Namespace):
             workers=args.workers,
             batch=(DEFAULT_WORKER_BATCH if args.batch is None
                    else args.batch),
-            # 0 = "not set": scan with the worker count, as the
-            # multi-worker drivers always did.
+            # 0 = "not set": scan with the worker count.
             metrics_workers=args.metrics_workers or args.workers,
         )
     else:
@@ -384,14 +383,13 @@ def _out_of_core_hep(args: argparse.Namespace) -> int:
 def _out_of_core_baseline(args: argparse.Namespace) -> int:
     """A registered streaming baseline through the runtime."""
     from repro.runtime.api import run_job
-    from repro.runtime.registry import AlgorithmRegistryView
+    from repro.runtime.registry import algorithm_names
 
-    streaming_algorithms = AlgorithmRegistryView()
-    known = {name.lower() for name in streaming_algorithms}
-    if args.method.lower() not in known:
+    names = algorithm_names()
+    if args.method.lower() not in {name.lower() for name in names}:
         raise ReproError(
             f"--out-of-core supports HEP or a streaming baseline "
-            f"({', '.join(streaming_algorithms)}); got {args.method!r}"
+            f"({', '.join(names)}); got {args.method!r}"
         )
     if args.memory_budget is not None:
         raise ReproError("--memory-budget tunes HEP's tau; the streaming "

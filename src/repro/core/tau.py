@@ -100,9 +100,9 @@ def select_from_footprints(
 ) -> tuple[float, int]:
     """The grid-selection rule shared with the out-of-core pipeline.
 
-    :class:`~repro.stream.pipeline.OutOfCoreHep` computes footprints
-    from chunk-counted column entries and must pick identically to
-    :func:`select_tau` — both funnel through here.
+    The out-of-core ``select_tau`` stage (:mod:`repro.runtime.stages`)
+    computes footprints from chunk-counted column entries and must pick
+    identically to :func:`select_tau` — both funnel through here.
     """
     best: tuple[float, int] | None = None
     for tau, footprint in zip(taus, footprints):

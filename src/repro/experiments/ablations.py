@@ -1,4 +1,4 @@
-"""Ablations of HEP's design choices (DESIGN.md §3 / paper §3.2–3.3).
+"""Ablations of HEP's design choices (paper §3.2–3.3).
 
 Three questions the paper answers qualitatively, measured head-to-head:
 

@@ -120,8 +120,8 @@ def run_partitioner(
 ) -> PartitionReport:
     """Run one partitioner and reduce the outcome to a report row.
 
-    ``memory_bytes`` is the Section 4.2-style analytic model (see
-    DESIGN.md for why RSS is not meaningful in Python); with
+    ``memory_bytes`` is the Section 4.2-style analytic model (process
+    RSS would mostly measure the interpreter and numpy); with
     ``measure_python_peak`` the tracemalloc peak is stored in the report's
     runtime-independent extra column instead.
     """

@@ -3,7 +3,7 @@
 The headline evaluation: HEP-{100,10,1} against ADWISE, HDRF, DBH, SNE,
 NE, DNE and METIS over the dataset sweep and k in {4, 32(, 128, 256)}.
 Replication factor and run-time are measured; memory is the Section 4.2
-analytic model (see DESIGN.md).
+analytic model.
 """
 
 from __future__ import annotations

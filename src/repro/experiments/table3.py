@@ -37,6 +37,6 @@ def run(scale: float | None = None) -> ExperimentResult:
     )
     result.notes.append(
         "stand-ins are seeded synthetic graphs at laptop scale; see"
-        " DESIGN.md section 4 for the substitution rationale"
+        " repro.graph.datasets for the substitution rationale"
     )
     return result

@@ -17,8 +17,8 @@ not see each other's placements.  ``batch = 1`` with one worker is
 exactly sequential informed HDRF; growing ``workers * batch`` trades
 replication factor for parallel throughput.  This module executes the
 schedule deterministically in process (one OS process — the *semantics*
-of parallel execution, not its wall-clock; DESIGN.md documents the
-substitution) and reports the modeled speedup: sequential rounds divided
+of parallel execution, not its wall-clock; :mod:`repro.stream.workers`
+runs the same schedule on real processes) and reports the modeled speedup: sequential rounds divided
 by BSP supersteps.
 """
 

@@ -16,7 +16,7 @@ and lazy re-scoring:
 This keeps the ``O(window)`` re-scoring off the common path while
 preserving the quality benefit the paper attributes to ADWISE: avoiding
 uninformed early assignments.  The run-time-budget controller of the
-original system is out of scope (documented in DESIGN.md).
+original system is out of scope.
 """
 
 from __future__ import annotations

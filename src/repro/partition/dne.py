@@ -14,8 +14,7 @@ which this in-process simulation retains:
 The simulation interleaves the k expansions round-robin; each round a
 partition cores its best boundary vertex and claims every unclaimed
 edge incident to the expansion region.  Actual message passing, which
-does not change the assignment semantics, is not simulated — DESIGN.md
-documents this substitution.
+does not change the assignment semantics, is not simulated.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """The runtime layer: declarative jobs, explicit plans, pluggable executors.
 
-``repro.runtime`` unifies the four legacy drivers (streaming
-baselines, out-of-core HEP, and their multi-worker variants) behind
-one path::
+``repro.runtime`` is the one way to run a partitioning job — HEP or a
+streaming baseline, in process or on worker processes::
 
     JobSpec  --plan_job-->  Plan  --run_job + Executor-->  PartitionResult
 
@@ -18,9 +17,11 @@ one path::
 * :mod:`~repro.runtime.registry` — the decorator-based streaming
   algorithm registry the adapters register into.
 
-The legacy driver classes remain as thin shims that build a spec and
-delegate here; the equivalence and Hypothesis suites pin the shims
-bit-identical to their pre-runtime behavior.
+Every caller — the CLI, the experiments, the service, the benches —
+spells a job as ``run_job(make_job(algo, source, k, **knobs),
+source=source)`` and reads the :class:`PartitionResult`; the
+equivalence and Hypothesis suites pin it bit-identical to the
+in-memory partitioners.
 """
 
 from repro.runtime.api import run_job, validate_spec
@@ -41,14 +42,11 @@ from repro.runtime.plan import (
 )
 from repro.runtime.registry import (
     AlgorithmInfo,
-    AlgorithmRegistryView,
     algorithm_catalog,
     algorithm_info,
     algorithm_names,
-    algorithm_params,
     create_algorithm,
     register_streaming_algorithm,
-    registered_algorithm_name,
 )
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import (
@@ -62,7 +60,6 @@ from repro.runtime.store import ArtifactStore, input_digest
 
 __all__ = [
     "AlgorithmInfo",
-    "AlgorithmRegistryView",
     "ArtifactStore",
     "Executor",
     "InProcessExecutor",
@@ -78,7 +75,6 @@ __all__ = [
     "algorithm_catalog",
     "algorithm_info",
     "algorithm_names",
-    "algorithm_params",
     "create_algorithm",
     "input_digest",
     "make_job",
@@ -86,7 +82,6 @@ __all__ = [
     "plan_job",
     "register_stage",
     "register_streaming_algorithm",
-    "registered_algorithm_name",
     "run_job",
     "select_executor",
     "spec_fields",

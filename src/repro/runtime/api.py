@@ -1,16 +1,17 @@
-"""``run_job``: the single entry point every driver delegates to.
+"""``run_job``: the one way to run a partitioning job.
 
 The runner takes a frozen :class:`~repro.runtime.spec.JobSpec`, plans
 it (:func:`~repro.runtime.plan.plan_job`), picks an executor
 (:func:`~repro.runtime.executor.select_executor`), and runs the stage
-sequence inside the same ``partition`` root span — same attribute set,
-same pass order, same pool lifecycles — the four legacy drivers
-emitted, so the observability suite pins the runtime exactly as it
-pinned the drivers.  With an :class:`~repro.runtime.store.ArtifactStore`
-attached, a content-addressed lookup runs first: on a hit the saved
-assignment is returned bit for bit with **zero** stages executed (the
-result's ``stages_executed`` is empty and the trace holds a single
-``cache_hit`` span instead of the pipeline).
+sequence inside one ``partition`` root span whose attributes, pass
+order and pool lifecycle the observability suite pins.  The CLI, the
+experiments, the service and the benches all build a spec with
+:func:`~repro.runtime.spec.make_job` and call :func:`run_job`.  With an
+:class:`~repro.runtime.store.ArtifactStore` attached, a
+content-addressed lookup runs first: on a hit the saved assignment is
+returned bit for bit with **zero** stages executed (the result's
+``stages_executed`` is empty and the trace holds a single ``cache_hit``
+span instead of the pipeline).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 from repro.errors import ConfigurationError, JobCancelledError
 from repro.obs.tracer import get_tracer
 from repro.runtime.plan import pipeline_kind, plan_job
-from repro.runtime.registry import create_algorithm
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec
 from repro.runtime.stages import RunContext
@@ -29,11 +29,12 @@ __all__ = ["run_job", "validate_spec"]
 
 
 def validate_spec(spec: JobSpec) -> None:
-    """Reject invalid specs with the drivers' exact error messages.
+    """Reject an invalid spec with one :class:`ConfigurationError`.
 
-    The legacy constructors performed these checks at build time; the
-    shims still do.  Running them here as well means specs built
-    directly via :func:`~repro.runtime.spec.make_job` fail identically.
+    :func:`run_job` calls this before planning, and the service calls it
+    at submit time, so a bad knob fails before any stage runs or any
+    worker is spawned.  ``workers == 0`` selects the in-process
+    executor; ``workers >= 1`` the worker pool.
     """
     hep = pipeline_kind(spec) == "hep"
     if spec.tau is not None and spec.tau <= 0:
@@ -48,7 +49,7 @@ def validate_spec(spec: JobSpec) -> None:
         )
     if spec.workers < 0:
         raise ConfigurationError(
-            f"workers must be >= 1, got {spec.workers}"
+            f"workers must be >= 0, got {spec.workers}"
         )
     if spec.workers >= 1:
         if spec.batch < 1:
@@ -103,22 +104,15 @@ def _check_cancel(cancel, spec: JobSpec, where: str) -> None:
         )
 
 
-def _execute(spec: JobSpec, source, algorithm=None, cancel=None) -> PartitionResult:
-    """Run the planned stages; the body mirrors the pre-PR 8 drivers."""
+def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
+    """Open the source and run the planned stages under one root span."""
     from repro.runtime.executor import select_executor
     from repro.stream.reader import PrefetchingEdgeSource, open_edge_source
 
     kind = pipeline_kind(spec)
-    algo = None
-    if kind != "hep" and spec.workers == 0:
-        algo = (
-            algorithm
-            if algorithm is not None
-            else create_algorithm(spec.algo, **spec.params)
-        )
+    ctx = RunContext(spec, source)
+    algo = ctx.algorithm
     display, result_name = _names(spec, algo)
-
-    ctx = RunContext(spec, source, algorithm=algo)
     if kind == "hep":
         ctx.empty_message = "out-of-core HEP: edge stream is empty"
     elif spec.workers >= 1:
@@ -188,7 +182,7 @@ def _execute(spec: JobSpec, source, algorithm=None, cancel=None) -> PartitionRes
 
 
 def run_job(
-    spec: JobSpec, source=None, *, store=None, algorithm=None, cancel=None
+    spec: JobSpec, source=None, *, store=None, cancel=None
 ) -> PartitionResult:
     """Run one partitioning job described by ``spec``.
 
@@ -207,12 +201,6 @@ def run_job(
         given and the input is content-addressable, a cache hit returns
         the saved result without executing any stage, and a miss
         persists the computed result for next time.
-    algorithm:
-        Optional pre-built :class:`~repro.stream.driver.
-        StreamingAlgorithm` instance (the legacy driver shims pass the
-        one their constructor already validated); by default the
-        adapter is created from the registry using ``spec.algo`` and
-        ``spec.params``.
     cancel:
         Optional :class:`threading.Event`-like object.  When set, the
         run raises :class:`~repro.errors.JobCancelledError` at the next
@@ -245,7 +233,7 @@ def run_job(
                 )
                 return cached
     _check_cancel(cancel, spec, "planning")
-    result = _execute(spec, resolved, algorithm=algorithm, cancel=cancel)
+    result = _execute(spec, resolved, cancel=cancel)
     if key is not None:
         store.put(key, result, digest)
     return result

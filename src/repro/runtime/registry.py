@@ -1,18 +1,16 @@
 """Decorator-based registry of streaming-algorithm adapters.
 
-PR 8 replaces :func:`~repro.stream.driver.make_streaming_algorithm`'s
-hand-maintained string dispatch with this registry: an algorithm class
-decorates itself with :func:`register_streaming_algorithm` and is from
-then on discoverable by name (``--algo help`` in the CLI prints
-:func:`algorithm_catalog`), constructible by
-:func:`create_algorithm`, and hashable into a
-:class:`~repro.runtime.spec.JobSpec` via the declared constructor
-parameters (:func:`algorithm_params`).  New algorithms — the ROADMAP's
-buffered HeiStream-style partitioner, for one — register without
-editing any factory.
+An algorithm class decorates itself with
+:func:`register_streaming_algorithm` and is from then on discoverable
+by name (``--algo help`` in the CLI prints :func:`algorithm_catalog`),
+constructible by :func:`create_algorithm`, and hashable into a
+:class:`~repro.runtime.spec.JobSpec` via its declared constructor
+parameters (:attr:`AlgorithmInfo.params`, merged as defaults into
+``algo_params``).  New algorithms — a buffered HeiStream-style
+partitioner, for one — register without editing any factory.
 
 This module is a leaf on purpose: it imports nothing from
-:mod:`repro.stream`, so both the spec layer and the driver layer can
+:mod:`repro.stream`, so both the spec layer and the adapters can
 depend on it without cycles.  The built-in adapters live in
 :mod:`repro.stream.driver`; importing that module populates the
 registry (:func:`ensure_builtins_registered` does it lazily for
@@ -22,22 +20,18 @@ callers that start from :mod:`repro.runtime`).
 from __future__ import annotations
 
 import inspect
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "AlgorithmInfo",
-    "AlgorithmRegistryView",
     "algorithm_catalog",
     "algorithm_info",
     "algorithm_names",
-    "algorithm_params",
     "create_algorithm",
     "ensure_builtins_registered",
     "register_streaming_algorithm",
-    "registered_algorithm_name",
 ]
 
 
@@ -122,33 +116,6 @@ def create_algorithm(name: str, **kwargs):
     return algorithm_info(name).factory(**kwargs)
 
 
-def registered_algorithm_name(instance) -> str | None:
-    """Registry name for an adapter instance, or ``None`` if unregistered."""
-    ensure_builtins_registered()
-    for info in _ALGORITHMS.values():
-        if type(instance) is info.factory:
-            return info.name
-    return None
-
-
-def algorithm_params(instance) -> tuple[tuple[str, object], ...] | None:
-    """Recover ``(param, value)`` pairs from an adapter instance.
-
-    Uses the declared constructor parameters of the instance's
-    registered class; every built-in adapter stores its knobs as
-    same-named attributes.  Returns ``None`` for unregistered classes
-    (such specs are not content-addressable).
-    """
-    ensure_builtins_registered()
-    for info in _ALGORITHMS.values():
-        if type(instance) is info.factory:
-            return tuple(
-                (param, getattr(instance, param, default))
-                for param, default in info.params
-            )
-    return None
-
-
 def algorithm_catalog() -> str:
     """Human-readable listing of every registered algorithm and its knobs.
 
@@ -171,31 +138,3 @@ def algorithm_catalog() -> str:
         if knobs:
             lines.append(f"  {'':<13}   params: {knobs}")
     return "\n".join(lines)
-
-
-class AlgorithmRegistryView(Mapping):
-    """Live read-only ``name -> class`` view of the registry.
-
-    Exported as :data:`repro.stream.driver.STREAMING_ALGORITHMS` so the
-    pre-PR 8 mapping API keeps working while staying in sync with
-    decorator registrations that happen later.
-    """
-
-    def __getitem__(self, name: str) -> type:
-        """Look up a registered algorithm class by exact name."""
-        ensure_builtins_registered()
-        return _ALGORITHMS[name].factory
-
-    def __iter__(self):
-        """Iterate canonical algorithm names in registration order."""
-        ensure_builtins_registered()
-        return iter(_ALGORITHMS)
-
-    def __len__(self) -> int:
-        """Number of registered algorithms."""
-        ensure_builtins_registered()
-        return len(_ALGORITHMS)
-
-    def __repr__(self) -> str:
-        """Show the registered names (helps failing-test output)."""
-        return f"AlgorithmRegistryView({', '.join(self)})"

@@ -302,9 +302,11 @@ def make_job(
 
     The ergonomic front door the CLI, experiments, and benches use:
     ``source`` is classified by :meth:`InputSpec.from_source`,
-    ``algo_params`` accepts a dict or ``(name, value)`` pairs, and —
-    matching the legacy multi-worker drivers — ``metrics_workers``
-    defaults to ``workers`` when a worker count is given.
+    ``algo_params`` accepts a dict or ``(name, value)`` pairs (merged
+    over the registered defaults), and ``metrics_workers`` defaults to
+    ``workers`` when a worker count is given.  Every other keyword is a
+    :class:`JobSpec` field; ``run_job(make_job(...), source=source)``
+    runs the job.
     """
     input_spec = InputSpec.from_source(
         source, chunk_size=chunk_size, order=order, seed=seed,

@@ -1,15 +1,42 @@
 """Stage implementations and the mutable run context they share.
 
-The code here is the pipeline bodies that previously lived inside the
-four driver classes (:class:`~repro.stream.driver.
-StreamingPartitionerDriver`, :class:`~repro.stream.pipeline.OutOfCoreHep`,
-:class:`~repro.stream.workers.MultiWorkerStreamingDriver`,
-:class:`~repro.stream.workers.MultiWorkerHep`), moved behind the stage
-registry so there is exactly one pipeline to register into.  Every
-stage preserves the pre-PR 8 call order, kernel invocations, and trace
-span names (``count_pass``/``select_tau``/``split_pass``/``phase_one``/
-``stream_pass``/``metrics_pass``) — the property the equivalence and
-observability suites pin bit for bit.
+Every job runs as a sequence of registered stages (trace span names in
+parentheses).  The HEP pipeline partitions a graph that is *never
+fully resident in memory*; each stage is bounded by the chunk size:
+
+1. **count** (``count_pass``) — one chunked sweep accumulates exact
+   degrees, the vertex-universe size and the edge count (HEP needs
+   true degrees for the threshold and for informed streaming).
+2. **select_tau** (``select_tau``) — given ``memory_budget`` bytes, the
+   Section 4.2 memory formula is evaluated per candidate ``tau`` from
+   chunk-counted column entries
+   (:func:`~repro.core.memory_model.hep_memory_bytes_from_entries`) and
+   the largest fitting ``tau`` wins, mirroring
+   :func:`~repro.core.tau.select_tau` without a Graph.  A fixed
+   ``tau`` skips the sweep; with neither, ``tau`` is 10.0.
+3. **split** (``split_pass``) — each chunk is split against the
+   high-degree mask: h2h edges are appended to a disk-backed
+   :class:`~repro.stream.spill.SpillFile`, the rest accumulate into the
+   pruned CSR's edge arrays.
+4. **phase_one** (``phase_one``) — NE++ runs on the chunk-built CSR
+   (:func:`~repro.core.ne_plus_plus.run_ne_plus_plus_on_csr`).
+5. **stream** (``stream_pass``) — the spill file is streamed back in
+   chunks through informed HDRF, optionally behind a buffered scoring
+   window (:mod:`repro.stream.buffered`), or dealt round-robin to BSP
+   worker processes when ``workers >= 1``.
+6. **metrics** (``metrics_pass``) — replication factor and balance are
+   computed by chunked sweeps over the source.  The per-partition
+   vertex covers are bit-packed (``k x n`` bits via
+   :class:`~repro.stream.scan.PackedCover`); when even that exceeds the
+   byte budget the sweep falls back to column blocks, and with
+   ``metrics_workers > 1`` both this pass and the counting pass run on
+   worker processes (:mod:`repro.stream.parallel_scan`) bit-identically.
+
+With ``order="natural"`` and no buffering the result is bit-identical
+to :class:`~repro.core.hep.HepPartitioner` on the same input, for every
+chunk size >= 1.  The streaming baselines run ``count -> stream ->
+metrics``: their **stream** stage sweeps the source once per pass
+through a :class:`~repro.stream.driver.StreamingAlgorithm` adapter.
 
 Stages take ``(spec, ctx, executor)``: the spec is frozen
 configuration, the :class:`RunContext` carries the materializing state
@@ -29,7 +56,8 @@ from repro.core.tau import select_from_footprints
 from repro.errors import PartitioningError
 from repro.graph.csr import CsrGraph
 from repro.obs.tracer import get_tracer
-from repro.runtime.plan import register_stage
+from repro.runtime.plan import pipeline_kind, register_stage
+from repro.runtime.registry import create_algorithm
 from repro.runtime.spec import JobSpec
 
 __all__ = ["RunContext"]
@@ -46,14 +74,16 @@ class RunContext:
     stream stages.
     """
 
-    def __init__(self, spec: JobSpec, source, algorithm=None) -> None:
+    def __init__(self, spec: JobSpec, source) -> None:
         self.spec = spec
         #: the original source argument (path/Graph/open source)
         self.source = source
         #: the opened EdgeChunkSource (set by the runner)
         self.src = None
-        #: streaming-algorithm adapter instance (streaming pipeline only)
-        self.algorithm = algorithm
+        #: streaming-algorithm adapter (in-process streaming pipeline only)
+        self.algorithm = None
+        if pipeline_kind(spec) != "hep" and spec.workers == 0:
+            self.algorithm = create_algorithm(spec.algo, **spec.params)
         #: warm worker pool, when the executor started one
         self.pool = None
         #: per-worker spill/shard segments (PoolExecutor)
@@ -173,7 +203,7 @@ def stage_metrics(spec: JobSpec, ctx: RunContext, executor) -> None:
     )
 
 
-# -- HEP stage bodies (moved verbatim from stream/pipeline.py) --------------
+# -- HEP stage bodies --------------------------------------------------------
 
 
 def _select_tau_from_budget(

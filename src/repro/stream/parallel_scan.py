@@ -33,12 +33,10 @@ The front doors :func:`scan_stats` / :func:`scan_quality` pick the
 parallel path when the source is segmentable on disk
 (:func:`supports_parallel_scan`: a shard manifest or flat binary edge
 file) and ``workers > 1``, and fall back to the sequential pass on the
-already-opened chunk source otherwise.  Since PR 8 the runtime
-executors (:mod:`repro.runtime.executor`) are the callers for every
-partitioning job — the legacy drivers are shims over
-:func:`repro.runtime.api.run_job` — while
-:mod:`repro.stream.extsort` and the ``scan`` CLI command still wire
-the front doors directly.
+already-opened chunk source otherwise.  The runtime executors
+(:mod:`repro.runtime.executor`) are the callers for every partitioning
+job, while :mod:`repro.stream.extsort` and the ``scan`` CLI command
+wire the front doors directly.
 """
 
 from __future__ import annotations

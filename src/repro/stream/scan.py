@@ -24,10 +24,10 @@ summed, cover bits are OR-ed), which is what makes the worker-parallel
 siblings in :mod:`repro.stream.parallel_scan` bit-identical to these
 sequential references.
 
-Used by HEP's pipeline (:mod:`repro.stream.pipeline`), the universal
-baseline driver (:mod:`repro.stream.driver`), the multi-worker drivers
-(:mod:`repro.stream.workers`) and the external sort
-(:mod:`repro.stream.extsort`).
+Used by the runtime's count and metrics stages
+(:mod:`repro.runtime.stages`, for HEP and every streaming baseline),
+the streaming-algorithm adapters (:mod:`repro.stream.driver`) and the
+external sort (:mod:`repro.stream.extsort`).
 """
 
 from __future__ import annotations

@@ -76,10 +76,7 @@ from repro.parallel.kernel import (
 )
 from repro.parallel.shm import SharedState
 from repro.partition.state import StreamingState
-from repro.stream.pipeline import OutOfCoreHep
 from repro.stream.reader import DEFAULT_CHUNK_SIZE
-# (the counting/metrics front doors are imported lazily inside the
-# drivers: repro.stream.parallel_scan builds on this module's pools)
 from repro.stream.shard import (
     is_manifest_path,
     read_flat_edge_blocks,
@@ -95,9 +92,6 @@ __all__ = [
     "PersistentWorkerPool",
     "StateService",
     "MultiWorkerReport",
-    "MultiWorkerResult",
-    "MultiWorkerStreamingDriver",
-    "MultiWorkerHep",
     "WorkerTimings",
     "plan_worker_segments",
     "run_bsp_shared",
@@ -1223,182 +1217,3 @@ def split_spill_round_robin(
     finally:
         for writer in writers:
             writer.close()
-
-
-# -- drivers ----------------------------------------------------------------
-
-
-@dataclass
-class MultiWorkerResult:
-    """Outcome of one multi-process out-of-core run (no Graph in RAM)."""
-
-    algorithm: str
-    parts: np.ndarray          # (m,) int32 per-edge partition ids
-    k: int
-    num_vertices: int
-    num_edges: int
-    chunk_size: int
-    report: MultiWorkerReport
-    loads: np.ndarray          # (k,) final per-partition edge counts
-    replication_factor: float
-    edge_balance: float
-    runtime_s: float
-
-    @property
-    def num_unassigned(self) -> int:
-        """Number of edges left without a partition (should be zero)."""
-        return int((self.parts < 0).sum())
-
-
-class MultiWorkerStreamingDriver:
-    """Standalone informed HDRF over shards, one OS process per worker.
-
-    The multi-process sibling of
-    :class:`~repro.stream.driver.StreamingPartitionerDriver`'s HDRF
-    adapter: a counting pass establishes exact degrees, then ``workers``
-    processes stream their shard assignment under the BSP schedule.
-    ``workers=1, batch=1`` reproduces sequential informed HDRF exactly;
-    any configuration is bit-identical to the in-process
-    ``bsp_hdrf_stream`` with the same workers/batch and the streams
-    :func:`plan_worker_segments` reports.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        batch: int = DEFAULT_WORKER_BATCH,
-        alpha: float = 1.0,
-        lam: float = 1.1,
-        eps: float = 1.0,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        prefetch: int = 0,
-        mp_context: str | None = None,
-        timeout: float = DEFAULT_WORKER_TIMEOUT,
-        metrics_workers: int | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        self.workers = int(workers)
-        self.batch = int(batch)
-        self.alpha = alpha
-        self.lam = lam
-        self.eps = eps
-        self.chunk_size = int(chunk_size)
-        self.prefetch = int(prefetch)
-        self.mp_context = mp_context
-        self.timeout = timeout
-        # The counting/metrics sweeps default to the same parallelism as
-        # the streaming phase (bit-identical either way).
-        self.metrics_workers = (
-            self.workers if metrics_workers is None else int(metrics_workers)
-        )
-        self.last_result: MultiWorkerResult | None = None
-        self.name = f"HDRF-mw{workers}"
-
-    def partition(self, source, k: int) -> MultiWorkerResult:
-        """Partition ``source`` (a manifest or flat binary edge file).
-
-        Since PR 8 this is a thin shim: the constructor knobs become a
-        :class:`~repro.runtime.spec.JobSpec` (``workers >= 1`` selects
-        the :class:`~repro.runtime.executor.PoolExecutor`, which plans
-        the shard assignment and runs the BSP schedule exactly as this
-        method used to), and the unified result converts back to the
-        historical :class:`MultiWorkerResult` — pinned bit-identical to
-        the in-process schedule by the equivalence suites.
-        """
-        from repro.runtime.api import run_job
-        from repro.runtime.spec import InputSpec, JobSpec
-
-        spec = JobSpec(
-            algo="HDRF",
-            k=int(k),
-            input=InputSpec.from_source(
-                source, chunk_size=self.chunk_size, prefetch=self.prefetch,
-            ),
-            algo_params=(("eps", self.eps), ("lam", self.lam)),
-            alpha=self.alpha,
-            workers=self.workers,
-            batch=self.batch,
-            metrics_workers=self.metrics_workers,
-            mp_context=self.mp_context,
-            timeout=self.timeout,
-        )
-        outcome = run_job(spec, source=source)
-        result = outcome.to_multi_worker()
-        self.last_result = result
-        return result
-
-
-class MultiWorkerHep(OutOfCoreHep):
-    """Out-of-core HEP whose streaming phase runs on a worker pool.
-
-    Phases one through four are exactly
-    :class:`~repro.stream.pipeline.OutOfCoreHep` (counting pass, budget
-    -> tau, split with h2h spill, NE++ on the pruned CSR).  Phase two is
-    where this class differs: the h2h spill is dealt round-robin into
-    per-worker segment files and streamed by ``workers`` OS processes
-    under the BSP schedule — bit-identical to
-    :class:`~repro.parallel.bsp_streaming.ParallelHepPartitioner` with
-    the same tau/workers/batch, which is itself sequential HEP at
-    ``workers=1, batch=1``.
-
-    The buffered scoring window is inherently sequential, so
-    ``buffer_size`` is rejected.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        batch: int = DEFAULT_WORKER_BATCH,
-        mp_context: str | None = None,
-        timeout: float = DEFAULT_WORKER_TIMEOUT,
-        **kwargs,
-    ) -> None:
-        if kwargs.get("buffer_size") is not None:
-            raise ConfigurationError(
-                "buffer_size is a sequential scoring window; it cannot "
-                "combine with multi-worker streaming"
-            )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        # Counting/metrics sweeps default to the streaming parallelism.
-        kwargs.setdefault("metrics_workers", int(workers))
-        super().__init__(**kwargs)
-        self.workers = int(workers)
-        self.batch = int(batch)
-        self.mp_context = mp_context
-        self.timeout = timeout
-        self.last_report: MultiWorkerReport | None = None
-        self.name = f"HEP-mw{workers}"
-
-    def partition(self, source, k: int):
-        """Run the pipeline; ``last_report`` reflects only this run."""
-        self.last_report = None
-        return super().partition(source, k)
-
-    def _job_spec(self, source, k: int):
-        """The sequential HEP spec with this driver's execution shape.
-
-        ``workers >= 1`` makes the runtime pick the
-        :class:`~repro.runtime.executor.PoolExecutor`, whose spill
-        stream deals the h2h edges round-robin into per-worker segments
-        and runs them under the BSP schedule — exactly what this class's
-        ``_stream_spill`` override used to do.
-        """
-        import dataclasses
-
-        return dataclasses.replace(
-            super()._job_spec(source, k),
-            workers=self.workers,
-            batch=self.batch,
-            mp_context=self.mp_context,
-            timeout=self.timeout,
-        )
-
-    def _absorb(self, outcome) -> None:
-        """Keep the BSP report the runtime produced for ``last_report``."""
-        self.last_report = outcome.report

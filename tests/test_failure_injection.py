@@ -26,6 +26,7 @@ from repro.graph import (
 from repro.graph.generators import chung_lu
 from repro.core import HepPartitioner, select_tau
 from repro.partition import HdrfPartitioner, PartitionAssignment
+from jobs import run_ooc
 
 
 class TestCorruptFiles:
@@ -206,13 +207,11 @@ class TestMultiWorkerFailures:
         assert multiprocessing.active_children() == []
 
     def test_pre_poisoned_manifest_fails_in_counting_pass(self, sharded):
-        from repro.stream import MultiWorkerStreamingDriver
-
         graph, manifest = sharded
         shard = manifest.shard_paths[1]
         shard.write_bytes(shard.read_bytes()[:-8])
         with pytest.raises(GraphFormatError, match="shard"):
-            MultiWorkerStreamingDriver(workers=2).partition(manifest.path, 4)
+            run_ooc("HDRF", manifest.path, 4, workers=2)
         assert multiprocessing.active_children() == []
 
     def test_failure_is_worker_failure_error_subclass(self):
@@ -221,8 +220,6 @@ class TestMultiWorkerFailures:
 
     def test_driver_recovers_after_failure(self, sharded):
         """A failed run must not poison the next one (fresh pool/state)."""
-        from repro.stream import MultiWorkerStreamingDriver
-
         graph, manifest = sharded
         pool, run = self._pool(graph, manifest)
         pool.start()
@@ -230,9 +227,7 @@ class TestMultiWorkerFailures:
         with pytest.raises(WorkerFailureError):
             run()
         pool.close()
-        result = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            manifest.path, 4
-        )
+        result = run_ooc("HDRF", manifest.path, 4, workers=2, batch=4)
         assert result.num_unassigned == 0
         assert multiprocessing.active_children() == []
 
@@ -327,7 +322,7 @@ class TestWarmPoolFailures:
 
     def test_driver_recovers_after_warm_failure(self, sharded):
         """A killed warm run must not poison a fresh shared-memory run."""
-        from repro.stream import MultiWorkerStreamingDriver, PersistentWorkerPool
+        from repro.stream import PersistentWorkerPool
 
         graph, manifest = sharded
         pool = PersistentWorkerPool(2, timeout=30.0)
@@ -336,9 +331,7 @@ class TestWarmPoolFailures:
         with pytest.raises(WorkerFailureError):
             self._shared_run(graph, manifest, pool)
         pool.shutdown()
-        result = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            manifest.path, 4
-        )
+        result = run_ooc("HDRF", manifest.path, 4, workers=2, batch=4)
         assert result.num_unassigned == 0
         assert multiprocessing.active_children() == []
 

@@ -14,17 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from jobs import run_ooc
 from strategies import bsp_schedules, power_law_graphs
 
 from repro.graph.generators import chung_lu
 from repro.obs import Tracer, phase_breakdown, read_trace, set_tracer, tracing
-from repro.stream import (
-    MultiWorkerHep,
-    MultiWorkerStreamingDriver,
-    OutOfCoreHep,
-    StreamingPartitionerDriver,
-    write_sharded_edges,
-)
+from repro.stream import write_sharded_edges
 from repro.stream.reader import PrefetchingEdgeSource, open_edge_source
 from repro.stream.shard import ShardedEdgeSource
 from repro.stream.workers import WorkerTimings
@@ -41,12 +36,12 @@ def manifest(graph, tmp_path_factory):
     return write_sharded_edges(graph, out, num_shards=4)
 
 
-def _collected_run(driver, source, k=8):
-    """Run ``driver`` under a collect-mode tracer; return (result, spans)."""
+def _collected_run(algo, source, k=8, **knobs):
+    """Run one job under a collect-mode tracer; return (result, spans)."""
     tracer = Tracer(None)
     previous = set_tracer(tracer)
     try:
-        result = driver.partition(source, k)
+        result = run_ooc(algo, source, k, **knobs)
     finally:
         set_tracer(previous)
     return result, tracer.drain()
@@ -54,8 +49,9 @@ def _collected_run(driver, source, k=8):
 
 class TestWorkerSpanForwarding:
     def test_two_worker_run_builds_one_tree(self, manifest):
-        driver = MultiWorkerStreamingDriver(workers=2, batch=8)
-        _, spans = _collected_run(driver, manifest.path)
+        _, spans = _collected_run(
+            "HDRF", manifest.path, workers=2, batch=8
+        )
         by_id = {s["id"]: s for s in spans}
         roots = [s for s in spans if s["parent"] is None]
         assert [r["name"] for r in roots] == ["partition"]
@@ -85,8 +81,9 @@ class TestWorkerSpanForwarding:
         assert sum(s["name"] == "worker_cover" for s in spans) == 2
 
     def test_shared_memory_run_records_shm_spans(self, manifest):
-        driver = MultiWorkerStreamingDriver(workers=2, batch=8)
-        _, spans = _collected_run(driver, manifest.path)
+        _, spans = _collected_run(
+            "HDRF", manifest.path, workers=2, batch=8
+        )
         attaches = [s for s in spans if s["name"] == "shm_attach"]
         # One coordinator-side create plus one attach per worker.
         assert sum("worker" not in s["attrs"] for s in attaches) == 1
@@ -99,8 +96,9 @@ class TestWorkerSpanForwarding:
         assert commits[0]["counters"]["supersteps"] > 0
 
     def test_pool_run_carries_coordinator_counters(self, manifest):
-        driver = MultiWorkerStreamingDriver(workers=2, batch=8)
-        _, spans = _collected_run(driver, manifest.path)
+        _, spans = _collected_run(
+            "HDRF", manifest.path, workers=2, batch=8
+        )
         bsp = next(
             s for s in spans
             if s["name"] == "pool_run" and s["attrs"]["pool"] == "bsp-shm"
@@ -112,8 +110,9 @@ class TestWorkerSpanForwarding:
         assert counters["recv_wait_s"] >= 0.0
 
     def test_worker_edges_sum_to_stream_total(self, graph, manifest):
-        driver = MultiWorkerStreamingDriver(workers=2, batch=8)
-        _, spans = _collected_run(driver, manifest.path)
+        _, spans = _collected_run(
+            "HDRF", manifest.path, workers=2, batch=8
+        )
         streamed = sum(
             s["counters"]["edges_scanned"]
             for s in spans if s["name"] == "worker_stream"
@@ -121,8 +120,9 @@ class TestWorkerSpanForwarding:
         assert streamed == graph.num_edges
 
     def test_phase_breakdown_attributes_most_of_the_run(self, manifest):
-        driver = MultiWorkerStreamingDriver(workers=2, batch=8)
-        _, spans = _collected_run(driver, manifest.path)
+        _, spans = _collected_run(
+            "HDRF", manifest.path, workers=2, batch=8
+        )
         out = phase_breakdown(spans)
         assert out["wall_s"] > 0
         # The acceptance bar bench_profile enforces at >= 0.9 on the
@@ -135,9 +135,7 @@ class TestWorkerSpanForwarding:
         from repro.obs import NULL_TRACER, get_tracer
 
         assert get_tracer() is NULL_TRACER
-        result = MultiWorkerStreamingDriver(workers=2, batch=8).partition(
-            manifest.path, 8
-        )
+        result = run_ooc("HDRF", manifest.path, 8, workers=2, batch=8)
         assert get_tracer() is NULL_TRACER
         assert get_tracer().num_spans == 0
         assert result.report.supersteps > 0
@@ -153,15 +151,13 @@ class TestTracingNeverChangesResults:
         out = tmp_path_factory.mktemp("obs-prop") / "g.manifest.json"
         manifest = write_sharded_edges(graph, out, num_shards=num_shards)
 
-        plain = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch
-        ).partition(manifest.path, 4)
+        plain = run_ooc("HDRF", manifest.path, 4, workers=workers, batch=batch)
 
         trace_path = out.parent / "run.trace.jsonl"
         with tracing(trace_path):
-            traced = MultiWorkerStreamingDriver(
-                workers=workers, batch=batch
-            ).partition(manifest.path, 4)
+            traced = run_ooc(
+                "HDRF", manifest.path, 4, workers=workers, batch=batch
+            )
 
         np.testing.assert_array_equal(plain.parts, traced.parts)
         assert plain.replication_factor == traced.replication_factor
@@ -175,39 +171,33 @@ class TestTracingNeverChangesResults:
     def test_hep_pipeline_bit_identical_under_tracing(
         self, manifest, tmp_path
     ):
-        plain = OutOfCoreHep(tau=2.0).partition(manifest.path, 8)
+        plain = run_ooc("HEP", manifest.path, 8, tau=2.0)
         with tracing(tmp_path / "hep.trace.jsonl"):
-            traced = OutOfCoreHep(tau=2.0).partition(manifest.path, 8)
+            traced = run_ooc("HEP", manifest.path, 8, tau=2.0)
         np.testing.assert_array_equal(plain.parts, traced.parts)
 
     def test_multi_worker_hep_bit_identical_under_tracing(
         self, manifest, tmp_path
     ):
-        plain = MultiWorkerHep(workers=2, batch=8, tau=2.0).partition(
-            manifest.path, 8
-        )
+        plain = run_ooc("HEP", manifest.path, 8, workers=2, batch=8, tau=2.0)
         with tracing(tmp_path / "mwhep.trace.jsonl"):
-            traced = MultiWorkerHep(workers=2, batch=8, tau=2.0).partition(
-                manifest.path, 8
+            traced = run_ooc(
+                "HEP", manifest.path, 8, workers=2, batch=8, tau=2.0
             )
         np.testing.assert_array_equal(plain.parts, traced.parts)
 
     def test_sequential_driver_bit_identical_under_tracing(
         self, manifest, tmp_path
     ):
-        plain = StreamingPartitionerDriver("HDRF").partition(manifest.path, 8)
+        plain = run_ooc("HDRF", manifest.path, 8)
         with tracing(tmp_path / "seq.trace.jsonl"):
-            traced = StreamingPartitionerDriver("HDRF").partition(
-                manifest.path, 8
-            )
+            traced = run_ooc("HDRF", manifest.path, 8)
         np.testing.assert_array_equal(plain.parts, traced.parts)
 
 
 class TestWorkerTimingsWithoutTrace:
     def test_report_carries_per_worker_timings(self, manifest):
-        result = MultiWorkerStreamingDriver(workers=2, batch=8).partition(
-            manifest.path, 8
-        )
+        result = run_ooc("HDRF", manifest.path, 8, workers=2, batch=8)
         timings = result.report.timings
         assert isinstance(timings, WorkerTimings)
         assert len(timings.busy_s) == 2
@@ -268,9 +258,7 @@ class TestSourceReadCounters:
     def test_source_read_event_lands_in_trace(self, manifest, tmp_path):
         trace_path = tmp_path / "src.trace.jsonl"
         with tracing(trace_path):
-            StreamingPartitionerDriver("HDRF", prefetch=2).partition(
-                manifest.path, 8
-            )
+            run_ooc("HDRF", manifest.path, 8, prefetch=2)
         events = [
             r for r in read_trace(trace_path)
             if r.get("type") == "span" and r["name"] == "source_read"

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jobs import run_ooc
 from strategies import graphs, power_law_graphs
 
 from repro.errors import ConfigurationError, GraphFormatError
@@ -27,9 +28,7 @@ from repro.graph.edgelist import write_binary_edgelist
 from repro.graph.generators import chung_lu
 from repro.metrics import streamed_quality_report
 from repro.stream import (
-    OutOfCoreHep,
     PackedCover,
-    StreamingPartitionerDriver,
     chunked_quality,
     open_edge_source,
     parallel_chunked_quality,
@@ -271,21 +270,17 @@ class TestParallelEquivalence:
             assert par == seq  # bit-identical floats, not approx
 
     def test_driver_metrics_workers_identical(self, binary):
-        base = StreamingPartitionerDriver("HDRF", chunk_size=64)
-        fan = StreamingPartitionerDriver(
-            "HDRF", chunk_size=64, metrics_workers=2
-        )
-        a = base.partition(binary, 4)
-        b = fan.partition(binary, 4)
+        a = run_ooc("HDRF", binary, 4, chunk_size=64)
+        b = run_ooc("HDRF", binary, 4, chunk_size=64, metrics_workers=2)
         assert np.array_equal(a.parts, b.parts)
         assert a.replication_factor == b.replication_factor
         assert a.edge_balance == b.edge_balance
 
     def test_hep_metrics_workers_identical(self, binary):
-        a = OutOfCoreHep(tau=1.0, chunk_size=64).partition(binary, 4)
-        b = OutOfCoreHep(
-            tau=1.0, chunk_size=64, metrics_workers=2
-        ).partition(binary, 4)
+        a = run_ooc("HEP", binary, 4, tau=1.0, chunk_size=64)
+        b = run_ooc(
+            "HEP", binary, 4, tau=1.0, chunk_size=64, metrics_workers=2
+        )
         assert np.array_equal(a.parts, b.parts)
         assert a.replication_factor == b.replication_factor
         assert a.edge_balance == b.edge_balance
@@ -302,9 +297,7 @@ class TestParallelEquivalence:
 
 class TestStreamedQualityReport:
     def test_matches_in_memory_metrics(self, graph, binary):
-        result = StreamingPartitionerDriver("HDRF", chunk_size=64).partition(
-            binary, 4
-        )
+        result = run_ooc("HDRF", binary, 4, chunk_size=64)
         report = streamed_quality_report(binary, result.parts, 4, workers=2)
         assert report.replication_factor == result.replication_factor
         assert report.edge_balance == result.edge_balance

@@ -36,7 +36,6 @@ from repro.runtime import (
     make_job,
     plan_job,
     register_streaming_algorithm,
-    registered_algorithm_name,
     run_job,
 )
 
@@ -162,7 +161,7 @@ class TestRegistry:
     def test_create_is_case_insensitive(self):
         algo = create_algorithm("hdrf", lam=1.5)
         assert algo.name == "HDRF"
-        assert registered_algorithm_name(algo) == "HDRF"
+        assert algo.lam == 1.5
 
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from jobs import run_ooc
 from strategies import bsp_schedules, power_law_graphs
 
 from repro.errors import ConfigurationError
@@ -35,9 +36,6 @@ from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.stream import (
     DEFAULT_CHUNK_SIZE,
-    MultiWorkerHep,
-    MultiWorkerStreamingDriver,
-    OutOfCoreHep,
     PersistentWorkerPool,
     open_edge_source,
     plan_worker_segments,
@@ -306,9 +304,7 @@ class TestHdrfDifferential:
     def test_shm_pipe_and_oracle_identical(
         self, graph, manifest, workers, batch
     ):
-        shm = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch
-        ).partition(manifest.path, 8)
+        shm = run_ooc("HDRF", manifest.path, 8, workers=workers, batch=batch)
         _, streams, _, _ = plan_worker_segments(manifest.path, workers)
         oracle = _oracle_parts(graph, workers, batch, streams)
         np.testing.assert_array_equal(shm.parts, oracle)
@@ -317,28 +313,22 @@ class TestHdrfDifferential:
         before = _psm_segments()
         if before is None:
             pytest.skip("no /dev/shm on this platform")
-        MultiWorkerStreamingDriver(workers=2, batch=8).partition(
-            manifest.path, 8
-        )
+        run_ooc("HDRF", manifest.path, 8, workers=2, batch=8)
         after = _psm_segments()
         assert after - before == set()
 
 
 class TestHepDifferential:
     def test_shm_matches_parallel_hep_oracle(self, graph, manifest):
-        shm = MultiWorkerHep(workers=2, batch=8, tau=2.0).partition(
-            manifest.path, 8
-        )
+        shm = run_ooc("HEP", manifest.path, 8, workers=2, batch=8, tau=2.0)
         oracle = ParallelHepPartitioner(
             tau=2.0, workers=2, batch=8
         ).partition(graph, 8)
         np.testing.assert_array_equal(shm.parts, oracle.parts)
 
     def test_single_worker_matches_sequential_hep(self, manifest):
-        seq = OutOfCoreHep(tau=2.0).partition(manifest.path, 8)
-        shm = MultiWorkerHep(workers=1, batch=1, tau=2.0).partition(
-            manifest.path, 8
-        )
+        seq = run_ooc("HEP", manifest.path, 8, tau=2.0)
+        shm = run_ooc("HEP", manifest.path, 8, workers=1, batch=1, tau=2.0)
         np.testing.assert_array_equal(shm.parts, seq.parts)
         assert shm.replication_factor == seq.replication_factor
 
@@ -418,9 +408,7 @@ class TestEquivalenceProperty:
         workers, batch, num_shards = schedule
         out = tmp_path_factory.mktemp("shm-prop") / "g.manifest.json"
         manifest = write_sharded_edges(graph, out, num_shards=num_shards)
-        shm = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch
-        ).partition(manifest.path, 4)
+        shm = run_ooc("HDRF", manifest.path, 4, workers=workers, batch=batch)
         _, streams, _, _ = plan_worker_segments(manifest.path, workers)
         oracle = _oracle_parts(graph, workers, batch, streams, k=4)
         np.testing.assert_array_equal(shm.parts, oracle)

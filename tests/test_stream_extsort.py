@@ -13,12 +13,9 @@ from repro.graph import (
     write_text_edgelist,
 )
 from repro.graph.ordering import edge_order
-from repro.stream import (
-    BinaryFileEdgeSource,
-    StreamingPartitionerDriver,
-    external_sort_edges,
-)
+from repro.stream import BinaryFileEdgeSource, external_sort_edges
 from repro.partition import HdrfPartitioner
+from jobs import run_ooc
 from strategies import graphs
 
 
@@ -116,9 +113,7 @@ class TestFeedsDrivers:
         external_sort_edges(skewed_graph, out, order="degree", chunk_size=64)
         reordered = reorder_edges(skewed_graph, edge_order(skewed_graph, "degree"))
         expected = HdrfPartitioner().partition(reordered, 4)
-        result = StreamingPartitionerDriver("HDRF", chunk_size=64).partition(
-            out, 4
-        )
+        result = run_ooc("HDRF", out, 4, chunk_size=64)
         assert np.array_equal(result.parts, expected.parts)
 
 
@@ -153,12 +148,8 @@ class TestShardedOutput:
         )
         flat = tmp_path / "deg.bin"
         external_sort_edges(skewed_graph, flat, order="degree", chunk_size=64)
-        expected = StreamingPartitionerDriver("HDRF", chunk_size=64).partition(
-            flat, 4
-        )
-        got = StreamingPartitionerDriver("HDRF", chunk_size=64).partition(
-            str(result.path), 4
-        )
+        expected = run_ooc("HDRF", flat, 4, chunk_size=64)
+        got = run_ooc("HDRF", str(result.path), 4, chunk_size=64)
         assert np.array_equal(got.parts, expected.parts)
 
     def test_manifest_records_universe(self, skewed_graph, tmp_path):

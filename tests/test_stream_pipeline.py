@@ -9,7 +9,8 @@ from repro.core.hep import HepPartitioner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph, generators, write_binary_edgelist
 from repro.metrics import assert_valid
-from repro.stream import InMemoryEdgeSource, OutOfCoreHep, SpillFile, scan_source
+from repro.stream import InMemoryEdgeSource, SpillFile, scan_source
+from jobs import run_ooc
 from strategies import graphs, power_law_graphs
 
 
@@ -45,7 +46,7 @@ class TestEquivalence:
     )
     def test_property_identical_parts(self, graph, chunk_size, k, tau):
         expected = HepPartitioner(tau=tau).partition(graph, k)
-        result = OutOfCoreHep(tau=tau, chunk_size=chunk_size).partition(graph, k)
+        result = run_ooc("HEP", graph, k, tau=tau, chunk_size=chunk_size)
         assert np.array_equal(result.parts, expected.parts)
 
     @settings(max_examples=10, deadline=None)
@@ -53,14 +54,14 @@ class TestEquivalence:
     def test_property_power_law_tau_one(self, graph, chunk_size):
         """tau=1 pushes real edge mass through the spill path."""
         expected = HepPartitioner(tau=1.0).partition(graph, 3)
-        result = OutOfCoreHep(tau=1.0, chunk_size=chunk_size).partition(graph, 3)
+        result = run_ooc("HEP", graph, 3, tau=1.0, chunk_size=chunk_size)
         assert np.array_equal(result.parts, expected.parts)
 
     def test_file_source_identical(self, skewed_graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
         expected = HepPartitioner(tau=1.0).partition(skewed_graph, 8)
-        result = OutOfCoreHep(tau=1.0, chunk_size=123).partition(path, 8)
+        result = run_ooc("HEP", path, 8, tau=1.0, chunk_size=123)
         assert np.array_equal(result.parts, expected.parts)
         assert result.replication_factor == pytest.approx(
             expected.replication_factor()
@@ -68,7 +69,7 @@ class TestEquivalence:
         assert result.edge_balance == pytest.approx(expected.balance())
 
     def test_assignment_is_valid(self, skewed_graph):
-        result = OutOfCoreHep(tau=1.0, chunk_size=64).partition(skewed_graph, 4)
+        result = run_ooc("HEP", skewed_graph, 4, tau=1.0, chunk_size=64)
         assignment = result.to_assignment(skewed_graph)
         assert_valid(assignment)
         assert result.num_unassigned == 0
@@ -78,8 +79,10 @@ class TestSpillBehavior:
     def test_spill_nonempty_for_tau_one(self, skewed_graph, tmp_path):
         """Acceptance: for tau=1 the h2h edges really hit the disk."""
         spill_dir = tmp_path / "spills"
-        pipeline = OutOfCoreHep(tau=1.0, chunk_size=64, spill_dir=str(spill_dir))
-        result = pipeline.partition(skewed_graph, 4)
+        result = run_ooc(
+            "HEP", skewed_graph, 4, tau=1.0, chunk_size=64,
+            spill_dir=str(spill_dir),
+        )
         assert result.breakdown.num_h2h_edges > 0
         assert result.spill_bytes == result.breakdown.num_h2h_edges * 24
         # The spill file itself is cleaned up after the run.
@@ -87,10 +90,11 @@ class TestSpillBehavior:
 
     def test_compressed_spill_identical_parts(self, skewed_graph):
         """Compression changes the spill encoding, never the assignment."""
-        raw = OutOfCoreHep(tau=1.0, chunk_size=64).partition(skewed_graph, 4)
-        zlibbed = OutOfCoreHep(
-            tau=1.0, chunk_size=64, spill_compression="zlib"
-        ).partition(skewed_graph, 4)
+        raw = run_ooc("HEP", skewed_graph, 4, tau=1.0, chunk_size=64)
+        zlibbed = run_ooc(
+            "HEP", skewed_graph, 4, tau=1.0, chunk_size=64,
+            spill_compression="zlib",
+        )
         assert np.array_equal(raw.parts, zlibbed.parts)
         assert zlibbed.spill_bytes < raw.spill_bytes
 
@@ -99,10 +103,10 @@ class TestSpillBehavior:
 
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
-        plain = OutOfCoreHep(tau=1.0, chunk_size=91).partition(path, 4)
-        prefetched = OutOfCoreHep(
-            tau=1.0, chunk_size=91, prefetch=3
-        ).partition(path, 4)
+        plain = run_ooc("HEP", path, 4, tau=1.0, chunk_size=91)
+        prefetched = run_ooc(
+            "HEP", path, 4, tau=1.0, chunk_size=91, prefetch=3
+        )
         assert np.array_equal(plain.parts, prefetched.parts)
 
     def test_spill_chunks_bounded(self, skewed_graph, tmp_path):
@@ -121,9 +125,9 @@ class TestSpillBehavior:
 
 class TestBudget:
     def test_budget_selects_tau(self, skewed_graph):
-        generous = OutOfCoreHep(memory_budget=10**9).partition(skewed_graph, 4)
+        generous = run_ooc("HEP", skewed_graph, 4, memory_budget=10**9)
         tight_budget = 60_000
-        tight = OutOfCoreHep(memory_budget=tight_budget).partition(skewed_graph, 4)
+        tight = run_ooc("HEP", skewed_graph, 4, memory_budget=tight_budget)
         assert tight.tau <= generous.tau
         assert tight.projected_memory_bytes <= tight_budget
 
@@ -133,35 +137,34 @@ class TestBudget:
 
         budget = 80_000
         tau, projected = select_tau(skewed_graph, budget, 4)
-        result = OutOfCoreHep(memory_budget=budget).partition(skewed_graph, 4)
+        result = run_ooc("HEP", skewed_graph, 4, memory_budget=budget)
         assert result.tau == tau
         assert result.projected_memory_bytes == projected
 
     def test_impossible_budget_errors(self, skewed_graph):
         with pytest.raises(ConfigurationError):
-            OutOfCoreHep(memory_budget=16).partition(skewed_graph, 4)
+            run_ooc("HEP", skewed_graph, 4, memory_budget=16)
 
     def test_explicit_tau_wins_over_budget(self, skewed_graph):
-        result = OutOfCoreHep(tau=1.0, memory_budget=10**9).partition(
-            skewed_graph, 4
-        )
+        result = run_ooc("HEP", skewed_graph, 4, tau=1.0, memory_budget=10**9)
         assert result.tau == 1.0
 
 
 class TestBuffered:
     @pytest.mark.parametrize("buffer_size", [1, 16, 500])
     def test_buffered_completes_and_validates(self, skewed_graph, buffer_size):
-        result = OutOfCoreHep(
-            tau=1.0, chunk_size=64, buffer_size=buffer_size
-        ).partition(skewed_graph, 4)
+        result = run_ooc(
+            "HEP", skewed_graph, 4, tau=1.0, chunk_size=64,
+            buffer_size=buffer_size,
+        )
         assert result.num_unassigned == 0
         assert_valid(result.to_assignment(skewed_graph))
 
     def test_buffer_size_one_equals_plain(self, skewed_graph):
         """A one-edge window can never reorder, so it matches exactly."""
-        plain = OutOfCoreHep(tau=1.0, chunk_size=64).partition(skewed_graph, 4)
-        one = OutOfCoreHep(tau=1.0, chunk_size=64, buffer_size=1).partition(
-            skewed_graph, 4
+        plain = run_ooc("HEP", skewed_graph, 4, tau=1.0, chunk_size=64)
+        one = run_ooc(
+            "HEP", skewed_graph, 4, tau=1.0, chunk_size=64, buffer_size=1
         )
         assert np.array_equal(plain.parts, one.parts)
 
@@ -186,12 +189,12 @@ class TestErrors:
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
         with pytest.raises(PartitioningError):
-            OutOfCoreHep(tau=1.0).partition(path, 2)
+            run_ooc("HEP", path, 2, tau=1.0)
 
     def test_k_too_small(self, skewed_graph):
         with pytest.raises(ConfigurationError):
-            OutOfCoreHep(tau=1.0).partition(skewed_graph, 1)
+            run_ooc("HEP", skewed_graph, 1, tau=1.0)
 
-    def test_bad_tau(self):
+    def test_bad_tau(self, skewed_graph):
         with pytest.raises(ConfigurationError):
-            OutOfCoreHep(tau=-1.0)
+            run_ooc("HEP", skewed_graph, 2, tau=-1.0)

@@ -12,6 +12,7 @@ from repro.stream import (
     TextFileEdgeSource,
     open_edge_source,
 )
+from jobs import run_ooc
 
 
 @pytest.fixture()
@@ -315,14 +316,12 @@ class TestFormatSniffing:
 
     def test_sniffed_garbage_partition_becomes_error(self, graph, tmp_path):
         """The original failure mode end to end: a text file named
-        .edges fed to the out-of-core driver must raise, not produce a
+        .edges fed to the out-of-core pipeline must raise, not produce a
         garbage partition."""
-        from repro.stream import StreamingPartitionerDriver
-
         path = tmp_path / "snap.edges"
         write_text_edgelist(graph, path)
         with pytest.raises(GraphFormatError):
-            StreamingPartitionerDriver("HDRF", chunk_size=4).partition(path, 2)
+            run_ooc("HDRF", path, 2, chunk_size=4)
 
 
 class TestPrefetchClose:

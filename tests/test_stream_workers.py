@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from jobs import run_ooc
 from strategies import bsp_schedules, power_law_graphs
 
 from repro.errors import (
@@ -28,11 +29,8 @@ from repro.parallel import ParallelHepPartitioner, bsp_hdrf_stream
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.stream import (
-    MultiWorkerHep,
     MultiWorkerReport,
-    MultiWorkerStreamingDriver,
     PersistentWorkerPool,
-    StreamingPartitionerDriver,
     plan_worker_segments,
     run_bsp_shared,
     write_sharded_edges,
@@ -169,21 +167,23 @@ class TestReport:
 
 
 class TestValidation:
-    def test_driver_rejects_bad_params(self):
-        with pytest.raises(ConfigurationError):
-            MultiWorkerStreamingDriver(workers=0)
-        with pytest.raises(ConfigurationError):
-            MultiWorkerStreamingDriver(batch=0)
+    def test_driver_rejects_bad_params(self, manifest):
+        with pytest.raises(ConfigurationError) as info:
+            run_ooc("HDRF", manifest.path, 8, workers=-1)
+        assert str(info.value) == "workers must be >= 0, got -1"
+        with pytest.raises(ConfigurationError) as info:
+            run_ooc("HDRF", manifest.path, 8, workers=2, batch=0)
+        assert str(info.value) == "batch must be >= 1, got 0"
 
     def test_driver_rejects_k_one(self, manifest):
         with pytest.raises(ConfigurationError):
-            MultiWorkerStreamingDriver(workers=2).partition(manifest.path, 1)
+            run_ooc("HDRF", manifest.path, 1, workers=2)
 
     def test_empty_stream_rejected(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
         with pytest.raises(PartitioningError, match="empty"):
-            MultiWorkerStreamingDriver(workers=2).partition(path, 4)
+            run_ooc("HDRF", path, 4, workers=2)
 
     def test_pool_requires_start(self, manifest):
         segments, _, _, _ = plan_worker_segments(manifest.path, 2)
@@ -203,11 +203,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_bsp_shared(pool, [[]], state, parts, batch=0)
 
-    def test_hep_rejects_buffer_size(self):
-        with pytest.raises(ConfigurationError, match="buffer_size"):
-            MultiWorkerHep(workers=2, buffer_size=64)
-        with pytest.raises(ConfigurationError):
-            MultiWorkerHep(workers=0)
+    def test_hep_rejects_buffer_size(self, manifest):
+        with pytest.raises(ConfigurationError) as info:
+            run_ooc("HEP", manifest.path, 8, workers=2, buffer_size=64)
+        assert str(info.value) == (
+            "buffer_size is a sequential scoring window; it cannot "
+            "combine with multi-worker streaming"
+        )
+        with pytest.raises(ConfigurationError) as info:
+            run_ooc("HEP", manifest.path, 8, workers=-1)
+        assert str(info.value) == "workers must be >= 0, got -1"
 
 
 @pytest.mark.slow
@@ -217,8 +222,9 @@ class TestEquivalence:
         self, graph, manifest, workers, batch
     ):
         """The acceptance property, pinned on the fixture graph."""
-        driver = MultiWorkerStreamingDriver(workers=workers, batch=batch)
-        result = driver.partition(manifest.path, 8)
+        result = run_ooc(
+            "HDRF", manifest.path, 8, workers=workers, batch=batch
+        )
         _, streams, _, _ = plan_worker_segments(manifest.path, workers)
         oracle, state, report = _oracle_parts(graph, workers, batch, streams)
         assert np.array_equal(result.parts, oracle)
@@ -229,29 +235,21 @@ class TestEquivalence:
 
     def test_single_worker_batch_one_is_sequential_hdrf(self, manifest):
         """workers=1, batch=1 must equal sequential informed HDRF."""
-        result = MultiWorkerStreamingDriver(workers=1, batch=1).partition(
-            manifest.path, 8
+        result = run_ooc("HDRF", manifest.path, 8, workers=1, batch=1)
+        sequential = run_ooc(
+            "HDRF", manifest.path, 8, algo_params={"exact_degrees": True}
         )
-        sequential = StreamingPartitionerDriver(
-            "HDRF", exact_degrees=True
-        ).partition(manifest.path, 8)
         assert np.array_equal(result.parts, sequential.parts)
 
     def test_deterministic_across_runs(self, manifest):
-        a = MultiWorkerStreamingDriver(workers=4, batch=8).partition(
-            manifest.path, 8
-        )
-        b = MultiWorkerStreamingDriver(workers=4, batch=8).partition(
-            manifest.path, 8
-        )
+        a = run_ooc("HDRF", manifest.path, 8, workers=4, batch=8)
+        b = run_ooc("HDRF", manifest.path, 8, workers=4, batch=8)
         assert np.array_equal(a.parts, b.parts)
 
     def test_flat_file_matches_contiguous_streams(self, graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        result = MultiWorkerStreamingDriver(workers=3, batch=4).partition(
-            path, 8
-        )
+        result = run_ooc("HDRF", path, 8, workers=3, batch=4)
         _, streams, _, _ = plan_worker_segments(path, 3)
         oracle, _, _ = _oracle_parts(graph, 3, 4, streams)
         assert np.array_equal(result.parts, oracle)
@@ -264,12 +262,8 @@ class TestEquivalence:
             graph, tmp_path / "z.manifest.json", num_shards=3,
             compression="zlib",
         )
-        a = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            plain.path, 8
-        )
-        b = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            packed.path, 8
-        )
+        a = run_ooc("HDRF", plain.path, 8, workers=2, batch=4)
+        b = run_ooc("HDRF", packed.path, 8, workers=2, batch=4)
         assert np.array_equal(a.parts, b.parts)
 
     def test_no_orphan_processes_after_runs(self):
@@ -277,41 +271,36 @@ class TestEquivalence:
 
 
 @pytest.mark.slow
-class TestMultiWorkerHep:
+class TestWorkerHep:
     @pytest.mark.parametrize("workers,batch", [(1, 1), (2, 8)])
     def test_bit_identical_to_parallel_hep(
         self, graph, tmp_path, workers, batch
     ):
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        hep = MultiWorkerHep(workers=workers, batch=batch, tau=1.0)
-        result = hep.partition(path, 8)
+        result = run_ooc("HEP", path, 8, workers=workers, batch=batch, tau=1.0)
         oracle = ParallelHepPartitioner(
             tau=1.0, workers=workers, batch=batch
         ).partition(graph, 8)
         assert np.array_equal(result.parts, oracle.parts)
         assert result.num_unassigned == 0
-        assert hep.last_report is not None
-        assert hep.last_report.workers == workers
+        assert result.report is not None
+        assert result.report.workers == workers
 
     def test_temp_segments_cleaned_up(self, graph, tmp_path):
         spill_dir = tmp_path / "spill"
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        hep = MultiWorkerHep(
-            workers=2, tau=1.0, spill_dir=str(spill_dir)
-        )
-        hep.partition(path, 4)
+        run_ooc("HEP", path, 4, workers=2, tau=1.0, spill_dir=str(spill_dir))
         leftovers = list(spill_dir.glob("mw-h2h-*"))
         assert leftovers == []
 
     def test_no_h2h_edges_skips_pool(self, graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        hep = MultiWorkerHep(workers=2, tau=1e9)
-        result = hep.partition(path, 4)
+        result = run_ooc("HEP", path, 4, workers=2, tau=1e9)
         assert result.num_unassigned == 0
-        assert hep.last_report is None
+        assert result.report is None
 
 
 @pytest.mark.slow
@@ -327,10 +316,10 @@ def test_multi_worker_equivalence_property(graph, schedule):
         manifest = write_sharded_edges(
             graph, Path(tmp) / "g.manifest.json", num_shards=num_shards
         )
-        driver = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, chunk_size=32
+        result = run_ooc(
+            "HDRF", manifest.path, k, workers=workers, batch=batch,
+            chunk_size=32,
         )
-        result = driver.partition(manifest.path, k)
         _, streams, _, _ = plan_worker_segments(manifest.path, workers)
     oracle, state, _ = _oracle_parts(graph, workers, batch, streams, k=k)
     assert np.array_equal(result.parts, oracle)
