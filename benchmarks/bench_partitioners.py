@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core import HepPartitioner
+from repro.core.ne_plus_plus import run_ne_plus_plus_on_csr
 from repro.experiments.common import make_partitioner
-from repro.graph import datasets
+from repro.graph import CsrGraph, datasets, high_degree_mask
 from repro.partition import StreamingState, capacity_bound, hdrf_stream
 
 _K = 32
@@ -45,6 +46,27 @@ def bench_hdrf_stream(benchmark, ok_graph):
 
     parts = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
     assert (parts >= 0).all()
+
+
+@pytest.mark.parametrize(
+    "tau", [float("inf"), 1000.0], ids=["unpruned", "hep_tau1000"]
+)
+def bench_ne_plus_plus(benchmark, ok_graph, tau):
+    """The NE++ kernel alone, on a fresh CSR each round: standalone NE++
+    (unpruned) and HEP's phase one at tau=1000 (pruned CSR)."""
+    if np.isinf(tau):
+        high = np.zeros(ok_graph.num_vertices, dtype=bool)
+    else:
+        high = high_degree_mask(ok_graph, tau)
+
+    def setup():
+        return (CsrGraph.build(ok_graph, high_mask=high), _K), {"tau": tau}
+
+    result = benchmark.pedantic(
+        run_ne_plus_plus_on_csr, setup=setup, rounds=2, iterations=1,
+        warmup_rounds=0,
+    )
+    assert int((result.parts >= 0).sum()) == result.num_inmemory_edges
 
 
 @pytest.mark.parametrize("buffer_size", [2, 16, 256])

@@ -78,21 +78,47 @@ class IndexedMinHeap:
 
     def decrement(self, item: int, by: int = 1) -> None:
         """Decrease the priority of ``item`` by ``by`` (the ``d_ext -= 1``
-        operation of Algorithm 1, line 20)."""
-        self.update(item, self.priority(item) - by)
+        operation of Algorithm 1, line 20).
+
+        The hot call of every expansion loop, so the common ``by > 0``
+        case sifts up inline, in one frame; the result is the same as
+        ``update(item, priority(item) - by)``.
+        """
+        if by <= 0:
+            self.update(item, self._prios[self._pos[item]] - by)
+            return
+        items, prios, pos = self._items, self._prios, self._pos
+        slot = pos[item]
+        prio = prios[slot] - by
+        while slot > 0:
+            parent = (slot - 1) >> 1
+            above = prios[parent]
+            if prio >= above:
+                break
+            moved = items[parent]
+            items[slot] = moved
+            prios[slot] = above
+            pos[moved] = slot
+            slot = parent
+        items[slot] = item
+        prios[slot] = prio
+        pos[item] = slot
 
     def pop_min(self) -> tuple[int, int]:
         """Remove and return ``(item, priority)`` with the smallest
         priority; ties broken arbitrarily."""
-        if not self._items:
+        items = self._items
+        if not items:
             raise IndexError("pop from empty heap")
-        top_item = self._items[0]
-        top_prio = self._prios[0]
-        self._swap(0, len(self._items) - 1)
-        self._items.pop()
-        self._prios.pop()
+        prios = self._prios
+        top_item = items[0]
+        top_prio = prios[0]
+        last_item = items.pop()
+        last_prio = prios.pop()
         del self._pos[top_item]
-        if self._items:
+        if items:
+            items[0] = last_item
+            prios[0] = last_prio
             self._sift_down(0)
         return top_item, top_prio
 
@@ -104,14 +130,15 @@ class IndexedMinHeap:
 
     def remove(self, item: int) -> None:
         """Delete ``item`` from the heap; raises ``KeyError`` if absent."""
-        slot = self._pos[item]
-        last = len(self._items) - 1
-        self._swap(slot, last)
-        self._items.pop()
-        self._prios.pop()
-        del self._pos[item]
-        if slot <= last - 1 and self._items:
-            # Restore heap order at the vacated slot.
+        items, prios, pos = self._items, self._prios, self._pos
+        slot = pos.pop(item)
+        last_item = items.pop()
+        last_prio = prios.pop()
+        if slot < len(items):
+            # Refill the vacated slot with the old last entry and restore
+            # heap order there.
+            items[slot] = last_item
+            prios[slot] = last_prio
             self._sift_up(slot)
             self._sift_down(slot)
 
@@ -127,39 +154,55 @@ class IndexedMinHeap:
         self._pos.clear()
 
     # -- internal sifting --------------------------------------------------
-
-    def _swap(self, a: int, b: int) -> None:
-        items, prios, pos = self._items, self._prios, self._pos
-        items[a], items[b] = items[b], items[a]
-        prios[a], prios[b] = prios[b], prios[a]
-        pos[items[a]] = a
-        pos[items[b]] = b
+    #
+    # Both sifts move the entry at ``slot`` through a hole instead of
+    # swapping pairwise: the comparisons, the path and the final arrays
+    # are those of the swap-based textbook version, so ties break the
+    # same way, with half the list and dict writes.
 
     def _sift_up(self, slot: int) -> None:
-        prios = self._prios
+        items, prios, pos = self._items, self._prios, self._pos
+        item = items[slot]
+        prio = prios[slot]
         while slot > 0:
             parent = (slot - 1) >> 1
-            if prios[slot] < prios[parent]:
-                self._swap(slot, parent)
-                slot = parent
-            else:
+            above = prios[parent]
+            if prio >= above:
                 break
+            moved = items[parent]
+            items[slot] = moved
+            prios[slot] = above
+            pos[moved] = slot
+            slot = parent
+        items[slot] = item
+        prios[slot] = prio
+        pos[item] = slot
 
     def _sift_down(self, slot: int) -> None:
-        prios = self._prios
+        items, prios, pos = self._items, self._prios, self._pos
         n = len(prios)
+        item = items[slot]
+        prio = prios[slot]
         while True:
             left = 2 * slot + 1
+            if left >= n:
+                break
+            child = left
+            child_prio = prios[left]
             right = left + 1
-            smallest = slot
-            if left < n and prios[left] < prios[smallest]:
-                smallest = left
-            if right < n and prios[right] < prios[smallest]:
-                smallest = right
-            if smallest == slot:
-                return
-            self._swap(slot, smallest)
-            slot = smallest
+            if right < n and prios[right] < child_prio:
+                child = right
+                child_prio = prios[right]
+            if child_prio >= prio:
+                break
+            moved = items[child]
+            items[slot] = moved
+            prios[slot] = child_prio
+            pos[moved] = slot
+            slot = child
+        items[slot] = item
+        prios[slot] = prio
+        pos[item] = slot
 
     def _check_invariants(self) -> None:
         """Validate heap order and position table (used by tests)."""

@@ -37,6 +37,31 @@ arrays exist for exactly this single-owner rule.
 The run returns everything HEP's streaming phase needs: the per-edge
 assignment (h2h edges still unassigned), the secondary-set matrix (the
 replica state), and partition loads.
+
+**Data layout.**  The expansion runs as one scalar kernel: the core and
+secondary walks, the edge assignment and the seed search are inlined
+into a single loop whose state indexes to plain Python ints, never to
+numpy scalars.
+
+* The masks are bytes: ``high`` (immutable), ``in_core``, and one
+  ``k * n`` bytearray of secondary sets whose row ``i`` is the memoryview
+  slice ``[i*n, (i+1)*n)``.  The result's ``(k, n)`` bool matrix is that
+  buffer through ``np.frombuffer``, with no copy.
+* ``loads`` is a list; the loop keeps the current partition's load in a
+  local.  ``parts`` stays an int32 array (4 bytes per edge), written
+  through a memoryview.
+* The CSR is read through memoryviews of its arrays; each walk turns a
+  vertex's valid windows into one list of neighbours and one of edge
+  ids.
+* The heap is :class:`~repro._ds.IndexedMinHeap`, whose decrement is a
+  single frame.
+* Clean-up is one call per partition: a vectorised stable compaction
+  of all the members' lists
+  (:meth:`~repro.graph.csr.CsrGraph.remove_marked`).
+
+``tests/test_ne_plus_plus_kernel.py`` holds the kernel to a per-vertex
+oracle: same assignment, secondary sets, loads, statistics, walk trace
+and CSR windows, bit for bit.
 """
 
 from __future__ import annotations
@@ -108,11 +133,7 @@ class NePlusPlusResult:
     high_mask: np.ndarray          # (n,) bool
     h2h: ExternalEdges
     stats: NePlusPlusStats
-
-    @property
-    def num_inmemory_edges(self) -> int:
-        """Edges phase one placed in memory (everything but h2h)."""
-        return int(self.parts.shape[0]) - self.h2h.num_edges
+    num_inmemory_edges: int        # the CSR's edges: everything but h2h
 
     def to_assignment(self) -> PartitionAssignment:
         """Assignment view (only complete when there are no h2h edges)."""
@@ -198,7 +219,26 @@ def run_ne_plus_plus_on_csr(
     return run.execute()
 
 
+def _csr_views(csr: CsrGraph) -> tuple[memoryview, ...]:
+    """``col, eid, out_start, out_size, in_start, in_size`` as memoryviews.
+
+    They index to Python ints without numpy scalar boxing, and share the
+    arrays, so they see the clean-up's in-place compaction.
+    """
+    return tuple(
+        memoryview(a)
+        for a in (csr.col, csr.eid, csr.out_start, csr.out_size,
+                  csr.in_start, csr.in_size)
+    )
+
+
 class _NePlusPlusRun:
+    """One NE++ run over ``csr``: the expansion kernel, clean-up, sweep.
+
+    The state lives in Python-level buffers that index to plain ints
+    (see the module docstring); only the clean-up is vectorised.
+    """
+
     def __init__(
         self,
         graph: Graph | None,
@@ -214,24 +254,24 @@ class _NePlusPlusRun:
         self.csr = csr
         self.k = k
         self.tau = tau
-        self.n = csr.num_vertices
-        self.degrees = csr.degrees
-        self.high = csr.high_mask
+        n = self.n = csr.num_vertices
         self.m_inmem = csr.num_csr_edges
         # Adapted capacity bound: only in-memory edges count here.
         self.capacity = capacity_bound(max(self.m_inmem, 1), k)
         self.parts = np.full(csr.num_edges_total, -1, dtype=np.int32)
-        self.loads = np.zeros(k, dtype=np.int64)
-        self.in_core = np.zeros(self.n, dtype=bool)
-        self.secondary = np.zeros((k, self.n), dtype=bool)
-        self.heap = IndexedMinHeap()
-        self.current = 0
-        self.seed_cursor = 0  # position in the seed scan sequence
+        self.loads = [0] * k
+        self.high = np.asarray(csr.high_mask, dtype=bool).tobytes()
+        self.in_core = bytearray(n)
+        # Row i of the (k, n) secondary matrix is bytes [i*n, (i+1)*n).
+        self.secondary_bytes = bytearray(k * n)
+        view = memoryview(self.secondary_bytes)
+        self.rows = [view[i * n : (i + 1) * n] for i in range(k)]
         if seed_order == "sequential":
-            self.seed_sequence = np.arange(self.n, dtype=np.int64)
+            self.seed_sequence = range(n)
         else:
-            self.seed_sequence = np.random.default_rng(seed).permutation(self.n)
-        self.assigned_inmem = 0
+            self.seed_sequence = memoryview(
+                np.random.default_rng(seed).permutation(n)
+            )
         self.record_degrees = record_degrees
         self.trace_walk = trace_walk
         self.stats = NePlusPlusStats(initial_column_entries=int(csr.col.size))
@@ -239,211 +279,221 @@ class _NePlusPlusRun:
     # -- driver ------------------------------------------------------------
 
     def execute(self) -> NePlusPlusResult:
-        last = self.k - 1
+        """Algorithm 1 for partitions ``0 .. k-2``, then Algorithm 3."""
+        csr = self.csr
+        k, n, last = self.k, self.n, self.k - 1
+        capacity, m_inmem = self.capacity, self.m_inmem
+        high, in_core, rows, loads = self.high, self.in_core, self.rows, self.loads
+        parts = memoryview(self.parts)
+        trace = self.trace_walk
+        record = self.record_degrees
+        degrees = csr.degrees.tolist() if record else None
+        stats = self.stats
+        core_degrees = stats.core_degrees
+        col, eid, out_start, out_size, in_start, in_size = _csr_views(csr)
+        seeds = self.seed_sequence
+        heap = IndexedMinHeap()
+        push, pop_min, decrement = heap.push, heap.pop_min, heap.decrement
+        cursor = 0
+        assigned = num_seeds = num_cored = spilled = 0
+        secondary = np.frombuffer(self.secondary_bytes, dtype=bool).reshape(k, n)
+        in_core_mask = np.frombuffer(in_core, dtype=bool)
+        low_mask = ~csr.high_mask
+        current = 0
         for i in range(last):
-            self.current = i
-            self.heap.clear()
-            exhausted = not self._expand_partition()
-            if self.record_degrees:
-                members = np.flatnonzero(
-                    self.secondary[i] & ~self.in_core & ~self.high
-                )
-                self.stats.secondary_end_degrees.extend(
-                    self.degrees[members].tolist()
-                )
-            self._cleanup(i)
-            if exhausted or self.assigned_inmem >= self.m_inmem:
+            current = i
+            heap.clear()
+            sec = rows[i]
+            # Loads of later partitions may already hold spilled edges.
+            load = loads[i]
+            exhausted = False
+            while load < capacity and assigned < m_inmem:
+                if heap:
+                    v = pop_min()[0]
+                    fresh = False
+                else:
+                    # Sequential-scan seed search (Section 3.2.3).  Every
+                    # rejection is permanent, so the cursor never rewinds:
+                    # cored and high-degree are immutable, valid window
+                    # sizes only shrink, and spill-marked vertices (in
+                    # S_i without a walk) leave their edges to a later
+                    # partition or the final sweep.
+                    while cursor < n:
+                        v = seeds[cursor]
+                        cursor += 1
+                        if in_core[v] or high[v] or sec[v]:
+                            continue
+                        if out_size[v] + in_size[v]:
+                            break
+                    else:
+                        exhausted = True
+                        break
+                    num_seeds += 1
+                    fresh = True
+                # Core v.  A seed enters the region right now, so its
+                # edges into the region are assigned here; a vertex cored
+                # from the heap had them assigned when the later endpoint
+                # entered C ∪ S_i (Algorithm 1's invariant), so its walk
+                # assigns nothing and only expands.
+                in_core[v] = 1
+                num_cored += 1
+                if record:
+                    core_degrees.append(degrees[v])
+                if trace is not None:
+                    trace(v)
+                if fresh:
+                    sec[v] = 1
+                # One list per walk; the out and in windows are adjacent
+                # until a clean-up shrinks the out window.
+                s, t = out_start[v], in_start[v]
+                end, mid = t + in_size[v], s + out_size[v]
+                if mid == t:
+                    nbrs, eids = col[s:end].tolist(), eid[s:end].tolist()
+                else:
+                    nbrs = col[s:mid].tolist() + col[t:end].tolist()
+                    eids = eid[s:mid].tolist() + eid[t:end].tolist()
+                for w, e in zip(nbrs, eids):
+                    hw = high[w]
+                    if hw or in_core[w] or sec[w]:
+                        if not fresh:
+                            continue
+                        if load < capacity:
+                            parts[e] = i
+                            load += 1
+                        else:
+                            # Spill-over: endpoints become replicas of the
+                            # receiving partition.  One expansion step can
+                            # overshoot more than a partition's headroom,
+                            # so cascade forward.
+                            j = i + 1
+                            while j < last and loads[j] >= capacity:
+                                j += 1
+                            rows[j][v] = 1
+                            rows[j][w] = 1
+                            spilled += 1
+                            parts[e] = j
+                            loads[j] += 1
+                        assigned += 1
+                        if hw:
+                            # A-priori secondary membership of high-degree
+                            # vertices.
+                            sec[w] = 1
+                        elif w in heap:
+                            decrement(w)
+                        continue
+                    # w joins the secondary set: walk it, assign its
+                    # edges into the region, push it with d_ext.
+                    sec[w] = 1
+                    if trace is not None:
+                        trace(w)
+                    s, t = out_start[w], in_start[w]
+                    end, mid = t + in_size[w], s + out_size[w]
+                    if mid == t:
+                        w_nbrs = col[s:end].tolist()
+                        w_eids = eid[s:end].tolist()
+                    else:
+                        w_nbrs = col[s:mid].tolist() + col[t:end].tolist()
+                        w_eids = eid[s:mid].tolist() + eid[t:end].tolist()
+                    dext = 0
+                    for x, e in zip(w_nbrs, w_eids):
+                        hx = high[x]
+                        if hx or in_core[x] or sec[x]:
+                            if load < capacity:
+                                parts[e] = i
+                                load += 1
+                            else:
+                                j = i + 1
+                                while j < last and loads[j] >= capacity:
+                                    j += 1
+                                rows[j][w] = 1
+                                rows[j][x] = 1
+                                spilled += 1
+                                parts[e] = j
+                                loads[j] += 1
+                            assigned += 1
+                            if hx:
+                                sec[x] = 1
+                            elif x in heap:
+                                decrement(x)
+                        else:
+                            dext += 1
+                    push(w, dext)
+            loads[i] = load
+            # Lazy edge removal (Algorithm 2) on the vertices that remain
+            # in the secondary set: the only lists a later partition walks.
+            members = np.flatnonzero(secondary[i] & ~in_core_mask & low_mask)
+            if record:
+                stats.secondary_end_degrees.extend(csr.degrees[members].tolist())
+            if trace is not None:
+                for v in members.tolist():
+                    trace(v)
+            stats.cleanup_removed_entries += csr.remove_marked(
+                members, in_core_mask | secondary[i]
+            )
+            if exhausted or assigned >= m_inmem:
                 break
-        self._final_sweep()
+        stats.num_seeds = num_seeds
+        stats.num_cored = num_cored
+        stats.spilled_edges = spilled
+        self._final_sweep(min(current + 1, last))
         return NePlusPlusResult(
             graph=self.graph,
-            k=self.k,
+            k=k,
             tau=self.tau,
             parts=self.parts,
-            secondary=self.secondary,
-            loads=self.loads,
-            high_mask=self.high,
-            h2h=self.csr.h2h_edges,
-            stats=self.stats,
+            secondary=secondary,
+            loads=np.array(loads, dtype=np.int64),
+            high_mask=csr.high_mask,
+            h2h=csr.h2h_edges,
+            stats=stats,
+            num_inmemory_edges=m_inmem,
         )
-
-    def _expand_partition(self) -> bool:
-        """Grow partition ``current`` to capacity.
-
-        Returns ``False`` once the seed scan is exhausted (no further
-        partition can be grown by expansion).
-        """
-        i = self.current
-        while self.loads[i] < self.capacity and self.assigned_inmem < self.m_inmem:
-            if self.heap:
-                v, _ = self.heap.pop_min()
-                self._move_to_core(v)
-            elif not self._initialize():
-                return False
-        return True
-
-    def _initialize(self) -> bool:
-        """Sequential-scan seed search (Section 3.2.3).
-
-        Every rejection is permanent for this partition: cored and
-        high-degree are immutable, valid adjacency sizes only shrink, and
-        spill-marked vertices (already in ``S_i`` without having been
-        walked) are skipped — their remaining edges are picked up by a
-        later partition or the final sweep.
-        """
-        csr = self.csr
-        sec = self.secondary[self.current]
-        while self.seed_cursor < self.n:
-            v = int(self.seed_sequence[self.seed_cursor])
-            self.seed_cursor += 1
-            if self.in_core[v] or self.high[v] or sec[v]:
-                continue
-            if csr.out_size[v] + csr.in_size[v] == 0:
-                continue
-            self.stats.num_seeds += 1
-            self._move_to_core(v, fresh=True)
-            return True
-        return False
-
-    # -- expansion ---------------------------------------------------------------
-
-    def _move_to_core(self, v: int, fresh: bool = False) -> None:
-        """Core ``v``; with ``fresh=True`` (a seed) ``v`` enters the region
-        right now, so its edges *into* the region are assigned here.
-
-        A vertex cored from the heap had those edges assigned when the
-        later endpoint entered ``C ∪ S_i`` (Algorithm 1's invariant); a
-        seed was outside the region until this moment, so edges to
-        secondary members — including the a-priori high-degree members —
-        would otherwise be missed and later destroyed by clean-up.
-        """
-        i = self.current
-        sec = self.secondary[i]
-        self.in_core[v] = True
-        if fresh:
-            sec[v] = True
-        self.stats.num_cored += 1
-        if self.record_degrees:
-            self.stats.core_degrees.append(int(self.degrees[v]))
-        if self.trace_walk is not None:
-            self.trace_walk(v)
-        nbrs, eids = self.csr.adjacency(v)
-        high = self.high
-        in_core = self.in_core
-        heap = self.heap
-        for w, eid in zip(nbrs.tolist(), eids.tolist()):
-            if high[w]:
-                if fresh:
-                    # A-priori secondary membership of high-degree vertices.
-                    self._assign(eid, v, w)
-                    sec[w] = True
-                # else: assigned at v's own secondary walk already.
-            elif in_core[w] or sec[w]:
-                if fresh:
-                    self._assign(eid, v, w)
-                    if w in heap:
-                        heap.decrement(w)
-                # else: assigned when the later endpoint entered the region.
-            else:
-                self._move_to_secondary(w)
-
-    def _move_to_secondary(self, v: int) -> None:
-        i = self.current
-        sec = self.secondary[i]
-        sec[v] = True
-        if self.trace_walk is not None:
-            self.trace_walk(v)
-        dext = 0
-        nbrs, eids = self.csr.adjacency(v)
-        high = self.high
-        in_core = self.in_core
-        heap = self.heap
-        for w, eid in zip(nbrs.tolist(), eids.tolist()):
-            if high[w]:
-                self._assign(eid, v, w)
-                sec[w] = True
-            elif in_core[w] or sec[w]:
-                self._assign(eid, v, w)
-                if w in heap:
-                    heap.decrement(w)
-            else:
-                dext += 1
-        heap.push(v, dext)
-
-    def _assign(self, eid: int, u: int, w: int) -> None:
-        i = self.current
-        if self.loads[i] >= self.capacity and i + 1 < self.k:
-            # Spill-over: endpoints become replicas of the receiving
-            # partition.  A single expansion step can overshoot by more
-            # than one partition's headroom, so cascade forward.
-            while self.loads[i] >= self.capacity and i + 1 < self.k:
-                i += 1
-            self.secondary[i, u] = True
-            self.secondary[i, w] = True
-            self.stats.spilled_edges += 1
-        self.parts[eid] = i
-        self.loads[i] += 1
-        self.assigned_inmem += 1
-
-    # -- lazy edge removal ---------------------------------------------------------
-
-    def _cleanup(self, i: int) -> None:
-        """Algorithm 2: remove assigned entries from lists that may be
-        visited again (only vertices still in the secondary set)."""
-        region = self.in_core | self.secondary[i]
-        members = np.flatnonzero(self.secondary[i] & ~self.in_core & ~self.high)
-        removed = 0
-        csr = self.csr
-        for v in members.tolist():
-            if self.trace_walk is not None:
-                self.trace_walk(v)
-            removed += csr.remove_marked(v, region)
-        self.stats.cleanup_removed_entries += removed
 
     # -- last partition (Algorithm 3) ---------------------------------------------
 
-    def _final_sweep(self) -> None:
+    def _final_sweep(self, i: int) -> None:
         """Assign every remaining in-memory edge, filling partitions from
-        the first unfilled one onward under the capacity bound."""
-        # The expansion loop filled partitions 0 .. current; the sweep
-        # builds the next one (normally the last).  If expansion ended
-        # early because the seed scan was exhausted, nothing remains and
-        # the sweep is a no-op.
-        i = min(self.current + 1, self.k - 1)
+        ``i`` onward under the capacity bound.
+
+        The expansion loop filled partitions ``0 .. i-1``; the sweep builds
+        the next one (normally the last).  If expansion ended early
+        because the seed scan was exhausted, nothing remains and the sweep
+        is a no-op.
+        """
         csr = self.csr
-        high = self.high
-        parts = self.parts
-        loads = self.loads
+        k, capacity = self.k, self.capacity
+        high, in_core, rows, loads = self.high, self.in_core, self.rows, self.loads
+        parts = memoryview(self.parts)
+        trace = self.trace_walk
+        col, eid, out_start, out_size, in_start, in_size = _csr_views(csr)
+        sec = rows[i]
         for v in range(self.n):
-            if self.in_core[v] or high[v]:
+            if in_core[v] or high[v]:
                 continue
-            out_n, out_e = csr.out_view(v)
-            in_n, in_e = csr.in_view(v)
-            if out_e.size == 0 and in_e.size == 0:
+            s, num_out = out_start[v], out_size[v]
+            t, num_in = in_start[v], in_size[v]
+            if not num_out and not num_in:
                 continue
-            if self.trace_walk is not None:
-                self.trace_walk(v)
-            touched = False
-            sec = self.secondary[i]
+            if trace is not None:
+                trace(v)
             # Low/low and low/high out-edges: assigned from the left side.
-            for w, eid in zip(out_n.tolist(), out_e.tolist()):
-                parts[eid] = i
-                loads[i] += 1
-                self.assigned_inmem += 1
-                sec[w] = True
-                touched = True
+            out_end, in_end = s + num_out, t + num_in
+            for w, e in zip(col[s:out_end].tolist(), eid[s:out_end].tolist()):
+                parts[e] = i
+                sec[w] = 1
+            placed = num_out
             # In-edges are assigned here only when the source is pruned.
-            for w, eid in zip(in_n.tolist(), in_e.tolist()):
+            for w, e in zip(col[t:in_end].tolist(), eid[t:in_end].tolist()):
                 if high[w]:
-                    parts[eid] = i
-                    loads[i] += 1
-                    self.assigned_inmem += 1
-                    sec[w] = True
-                    touched = True
-            if touched:
-                sec[v] = True
-            if loads[i] >= self.capacity and i + 1 < self.k:
-                i = i + 1
+                    parts[e] = i
+                    sec[w] = 1
+                    placed += 1
+            if placed:
+                sec[v] = 1
+                loads[i] += placed
+            if loads[i] >= capacity and i + 1 < k:
+                i += 1
+                sec = rows[i]
 
 
 class NePlusPlusPartitioner(Partitioner):

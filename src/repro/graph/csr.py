@@ -31,6 +31,9 @@ from repro.graph.edgelist import Graph
 
 __all__ = ["CsrGraph", "ExternalEdges"]
 
+#: log2 of the entries per vectorised step of :meth:`CsrGraph.remove_marked`
+_COMPACT_SHIFT = 13
+
 
 @dataclass(frozen=True)
 class ExternalEdges:
@@ -284,32 +287,78 @@ class CsrGraph:
 
     # -- lazy removal ----------------------------------------------------------
 
-    def remove_marked(self, v: int, marked: np.ndarray) -> int:
+    def remove_marked(self, v: int | np.ndarray, marked: np.ndarray) -> int:
         """Remove every entry of ``v`` whose neighbor is flagged in ``marked``.
 
         This is the inner operation of the clean-up pass (Algorithm 2):
-        ``marked`` is the ``C ∪ S_i`` membership mask.  Both sub-lists are
-        compacted in place; returns the number of removed entries.
+        ``marked`` is the ``C ∪ S_i`` membership mask.  ``v`` is one
+        vertex or an array of vertices; either way both sub-lists of each
+        vertex are compacted in place, stably, by vectorised steps of
+        bounded size (repeated vertices count once), exactly as per-vertex
+        calls in order would.  Returns the number of removed entries.
         """
+        vertices = np.asarray(v, dtype=np.int64).reshape(-1)
+        if vertices.size > 1:
+            # Windows are disjoint, so the order is free and only repeats
+            # must go; a flag pass does that without a sort.
+            flags = np.zeros(self.num_vertices, dtype=bool)
+            flags[vertices] = True
+            vertices = np.flatnonzero(flags)
         removed = 0
         for start_arr, size_arr in (
             (self.out_start, self.out_size),
             (self.in_start, self.in_size),
         ):
-            s = start_arr[v]
-            size = size_arr[v]
-            if size == 0:
+            sizes = size_arr[vertices]
+            owners = vertices[sizes > 0]
+            sizes = sizes[sizes > 0]
+            if not owners.size:
                 continue
-            window = slice(s, s + size)
-            entries = self.col[window]
-            keep = ~marked[entries]
-            kept = int(keep.sum())
-            if kept != size:
-                self.col[s : s + kept] = entries[keep]
-                self.eid[s : s + kept] = self.eid[window][keep]
-                size_arr[v] = kept
-                removed += size - kept
+            # Owners go in runs of about 2**_COMPACT_SHIFT entries (a
+            # longer window runs alone), so the temporaries stay a fixed
+            # size instead of a multiple of the column array.  Shift and
+            # subtract, not // and !=: the first use of those int loops
+            # maps more of numpy's native code into the process.
+            run = (np.cumsum(sizes) - 1) >> _COMPACT_SHIFT
+            cuts = (np.flatnonzero(run[1:] - run[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, owners.size]):
+                removed += self._compact(
+                    start_arr, size_arr, owners[lo:hi], sizes[lo:hi], marked
+                )
         return removed
+
+    def _compact(
+        self,
+        start_arr: np.ndarray,
+        size_arr: np.ndarray,
+        owners: np.ndarray,
+        sizes: np.ndarray,
+        marked: np.ndarray,
+    ) -> int:
+        """Stable compaction of the non-empty sub-lists of ``owners``."""
+        total = int(sizes.sum())
+        # Slot of every valid entry, grouped by owner: the window start
+        # plus the entry's offset inside the window.
+        ends = np.cumsum(sizes)
+        starts = start_arr[owners]
+        slots = np.repeat(starts - (ends - sizes), sizes)
+        slots += np.arange(total)
+        keep = ~marked[self.col[slots]]
+        kept_through = np.cumsum(keep)
+        kept_total = int(kept_through[-1])
+        if kept_total == total:
+            return 0
+        kept = kept_through[ends - 1]
+        kept[1:] = kept[1:] - kept[:-1]
+        # Kept entries slide to the front of their window in order: the
+        # n-th kept entry of an owner lands at its window start + n.
+        sources = slots[keep]
+        targets = np.repeat(starts - (np.cumsum(kept) - kept), kept)
+        targets += np.arange(kept_total)
+        self.col[targets] = self.col[sources]
+        self.eid[targets] = self.eid[sources]
+        size_arr[owners] = kept
+        return total - kept_total
 
     def remove_edge_entry(self, v: int, neighbor: int, edge_id: int) -> bool:
         """Swap-remove the entry for ``edge_id`` from ``v``'s lists.

@@ -48,7 +48,10 @@ Failure handling: a worker that dies mid-superstep (killed, OOM, or a
 poisoned shard) surfaces as a single
 :class:`~repro.errors.WorkerFailureError` naming the worker and its
 shard/segment; the pool terminates and joins every remaining process
-(no orphans) and per-run temp state is removed.
+(no orphans) and per-run temp state is removed.  A forked worker that
+never reaches its job loop (wedged inside ``os.fork()``, e.g. on a
+lock another coordinator thread held at the fork) is killed and forked
+again at start-up (:meth:`PersistentWorkerPool._await_ready`).
 """
 
 from __future__ import annotations
@@ -116,6 +119,14 @@ _MSG_TRACE = b"T"     # worker -> coord: pickled trace records (after a job)
 _MSG_JOB = b"J"       # coord -> worker: pickled (handler, kwargs) job
 _MSG_SHUTDOWN = b"Q"  # coord -> worker: leave the job loop, exit cleanly
 _MSG_COMMIT = b"K"    # coord -> worker: barrier done; count = published index
+_MSG_READY = b"R"     # worker -> coord: job loop entered (start handshake)
+
+#: seconds a forked worker may take to send its ready frame before the
+#: pool presumes it wedged inside ``os.fork()`` and forks it again
+_FORK_READY_TIMEOUT = 10.0
+
+#: forks tried per worker before :meth:`PersistentWorkerPool.start` gives up
+_FORK_ATTEMPTS = 3
 
 #: layout of the timing payload a worker attaches to its DONE message
 _DONE_TIMINGS = np.dtype("<f8")
@@ -292,10 +303,12 @@ def _job_worker_main(
 ) -> None:
     """Entry point of one warm worker: run pickled jobs until shutdown.
 
-    The pool spawns these once and then :meth:`PersistentWorkerPool.
-    submit`\\ s any number of jobs — a job is a pickled ``(handler,
-    kwargs)`` pair, and the handler owns whatever pipe protocol it needs
-    (BSP supersteps, one-shot count/cover sweeps, ...).
+    The worker first sends one ready frame (the pool's start
+    handshake).  The pool spawns these once and then
+    :meth:`PersistentWorkerPool.submit`\\ s any number of jobs — a
+    job is a pickled ``(handler, kwargs)`` pair, and the handler owns
+    whatever pipe protocol it needs (BSP supersteps, one-shot
+    count/cover sweeps, ...).
 
     After each successful job the worker ships its drained trace records
     (when tracing) so the coordinator can adopt them per job.  A failed
@@ -307,6 +320,7 @@ def _job_worker_main(
     tracer = install_collecting_tracer(trace)
     context = _JobContext(worker_id, conn, tracer)
     try:
+        conn.send_bytes(_pack_message(_MSG_READY, 0))
         while True:
             try:
                 blob = conn.recv_bytes()
@@ -646,6 +660,8 @@ class PersistentWorkerPool:
     def start(self) -> None:
         """Fork the workers into their job loops.
 
+        Returns once every worker has sent its ready frame; a forked
+        worker that stays silent is re-forked (:meth:`_await_ready`).
         When the process-global tracer is live the spawn is wrapped in a
         ``pool_spawn`` span and every worker is told to collect spans
         and ship them back after each job (see
@@ -665,22 +681,82 @@ class PersistentWorkerPool:
             pipes = [ctx.Pipe(duplex=True) for _ in range(self.workers)]
             try:
                 for w in range(self.workers):
-                    proc = ctx.Process(
-                        target=_job_worker_main,
-                        args=(w, pipes, self._trace_workers),
-                        name=f"repro-worker-{w}",
-                        daemon=True,
-                    )
-                    proc.start()
-                    self._procs.append(proc)
+                    self._procs.append(self._spawn(ctx, w, pipes))
+                for parent_end, child_end in pipes:
+                    child_end.close()
+                    self._conns.append(parent_end)
+                for w in range(self.workers):
+                    self._await_ready(ctx, w, pipes)
             except BaseException:
                 # A failed spawn must not leak processes already forked.
                 self.close()
                 raise
-            for parent_end, child_end in pipes:
-                child_end.close()
-                self._conns.append(parent_end)
         _LIVE_POOLS.add(self)
+
+    def _spawn(self, ctx, w: int, pipes: list):
+        """Start worker ``w``'s process on its end of ``pipes[w]``."""
+        proc = ctx.Process(
+            target=_job_worker_main,
+            args=(w, pipes, self._trace_workers),
+            name=f"repro-worker-{w}",
+            daemon=True,
+        )
+        proc.start()
+        return proc
+
+    def _await_ready(self, ctx, w: int, pipes: list) -> None:
+        """Wait for worker ``w``'s ready frame; re-fork it if it wedged.
+
+        A ``fork`` child starts as a copy of the coordinator, including
+        any lock another thread held at that instant; such a child can
+        block inside ``os.fork()`` before its job loop runs a line.  A
+        forked worker silent for :data:`_FORK_READY_TIMEOUT` seconds is
+        killed and forked again, up to :data:`_FORK_ATTEMPTS` times.
+        Other start methods run no inherited state, so their workers
+        get the pool's ``timeout`` and one attempt.
+        """
+        forked = self.mp_context == "fork"
+        limit = _FORK_READY_TIMEOUT if forked else self.timeout
+        attempts = _FORK_ATTEMPTS if forked else 1
+        for attempt in range(attempts):
+            if attempt:
+                self._procs[w].kill()
+                self._procs[w].join()
+                self._conns[w].close()
+                pipes[w] = ctx.Pipe(duplex=True)
+                self._procs[w] = self._spawn(ctx, w, pipes)
+                pipes[w][1].close()
+                self._conns[w] = pipes[w][0]
+            if self._wait_ready(w, limit):
+                return
+        raise WorkerFailureError(
+            f"{self._describe_worker(w)} did not start: no ready frame "
+            f"within {limit:.0f}s in {attempts} attempt(s)"
+        )
+
+    def _wait_ready(self, w: int, limit: float) -> bool:
+        """True once worker ``w`` sends its ready frame within ``limit`` s."""
+        conn = self._conns[w]
+        proc = self._procs[w]
+        deadline = time.monotonic() + limit
+        while time.monotonic() < deadline:
+            try:
+                blob = conn.recv_bytes() if conn.poll(0.05) else None
+            except (EOFError, OSError):
+                raise self._worker_died(w) from None
+            if blob is not None:
+                tag, _, payload = _unpack_message(blob)
+                if tag == _MSG_READY:
+                    return True
+                if tag == _MSG_ERROR:
+                    self._raise_worker_error(w, payload)
+                raise WorkerFailureError(
+                    f"{self._describe_worker(w)}: expected a ready "
+                    f"frame, got {tag!r}"
+                )
+            if not proc.is_alive() and not conn.poll(0.25):
+                raise self._worker_died(w)
+        return False
 
     @property
     def pids(self) -> list[int]:

@@ -1,7 +1,8 @@
 """Stateful property test: the CSR under arbitrary removal sequences.
 
 A hypothesis rule-based state machine drives the two removal paths
-(the clean-up's ``remove_marked`` and NE's ``remove_edge_entry``)
+(the clean-up's ``remove_marked``, on one vertex or on many at once, and
+NE's ``remove_edge_entry``)
 against a dict-of-sets reference model, checking after every step that
 valid adjacency, edge-id pairing and window invariants all hold.
 """
@@ -40,6 +41,26 @@ class CsrRemovalMachine(RuleBasedStateMachine):
         expected = {(w, e) for (w, e) in self.model[v] if marked[w]}
         assert removed == len(expected)
         self.model[v] -= expected
+
+    @rule(data=st.data())
+    def remove_marked_many(self, data):
+        n = self.graph.num_vertices
+        vertices = data.draw(
+            st.lists(st.integers(0, n - 1), max_size=2 * n), label="vertices"
+        )
+        flags = data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n), label="marked"
+        )
+        marked = np.asarray(flags, dtype=bool)
+        removed = self.csr.remove_marked(np.asarray(vertices, dtype=np.int64), marked)
+        # Per-vertex semantics in order: a repeated vertex removes nothing
+        # the second time.
+        expected = 0
+        for v in dict.fromkeys(vertices):
+            hits = {(w, e) for (w, e) in self.model[v] if marked[w]}
+            expected += len(hits)
+            self.model[v] -= hits
+        assert removed == expected
 
     @rule(data=st.data())
     def remove_single_entry(self, data):

@@ -1,7 +1,9 @@
 """Unit and property tests for repro._ds.indexed_heap."""
 
+from __future__ import annotations
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._ds import IndexedMinHeap
@@ -171,3 +173,133 @@ def test_heap_matches_reference_model(ops):
         item, prio = heap.pop_min()
         drained[item] = prio
     assert drained == model
+
+
+class _SwapHeap:
+    """The pairwise-swap heap the sifts must match (the frozen oracle).
+
+    :class:`IndexedMinHeap` moves entries through a hole and inlines its
+    decrement; this is the textbook version it replaced, kept verbatim so
+    the differential test below can compare the full internal state.
+    """
+
+    def __init__(self) -> None:
+        self._items: list[int] = []
+        self._prios: list[int] = []
+        self._pos: dict[int, int] = {}
+
+    def push(self, item: int, priority: int) -> None:
+        self._items.append(item)
+        self._prios.append(priority)
+        self._pos[item] = len(self._items) - 1
+        self._sift_up(len(self._items) - 1)
+
+    def update(self, item: int, priority: int) -> None:
+        slot = self._pos[item]
+        old = self._prios[slot]
+        if priority == old:
+            return
+        self._prios[slot] = priority
+        if priority < old:
+            self._sift_up(slot)
+        else:
+            self._sift_down(slot)
+
+    def decrement(self, item: int, by: int = 1) -> None:
+        self.update(item, self._prios[self._pos[item]] - by)
+
+    def pop_min(self) -> tuple[int, int]:
+        top_item = self._items[0]
+        top_prio = self._prios[0]
+        self._swap(0, len(self._items) - 1)
+        self._items.pop()
+        self._prios.pop()
+        del self._pos[top_item]
+        if self._items:
+            self._sift_down(0)
+        return top_item, top_prio
+
+    def remove(self, item: int) -> None:
+        slot = self._pos[item]
+        last = len(self._items) - 1
+        self._swap(slot, last)
+        self._items.pop()
+        self._prios.pop()
+        del self._pos[item]
+        if slot <= last - 1 and self._items:
+            self._sift_up(slot)
+            self._sift_down(slot)
+
+    def _swap(self, a: int, b: int) -> None:
+        items, prios, pos = self._items, self._prios, self._pos
+        items[a], items[b] = items[b], items[a]
+        prios[a], prios[b] = prios[b], prios[a]
+        pos[items[a]] = a
+        pos[items[b]] = b
+
+    def _sift_up(self, slot: int) -> None:
+        prios = self._prios
+        while slot > 0:
+            parent = (slot - 1) >> 1
+            if prios[slot] < prios[parent]:
+                self._swap(slot, parent)
+                slot = parent
+            else:
+                break
+
+    def _sift_down(self, slot: int) -> None:
+        prios = self._prios
+        n = len(prios)
+        while True:
+            left = 2 * slot + 1
+            right = left + 1
+            smallest = slot
+            if left < n and prios[left] < prios[smallest]:
+                smallest = left
+            if right < n and prios[right] < prios[smallest]:
+                smallest = right
+            if smallest == slot:
+                return
+            self._swap(slot, smallest)
+            slot = smallest
+
+
+@settings(max_examples=300)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["push", "push", "pop", "decrement", "update", "remove"]
+            ),
+            st.integers(0, 30),
+            # Narrow priorities force ties, the case tie-breaking decides.
+            st.integers(-4, 4),
+        ),
+        max_size=400,
+    )
+)
+def test_heap_state_matches_the_swap_heap(ops):
+    """Differential: after every operation the slot arrays and position
+    table equal the swap-based heap's, not only the minimum."""
+    heap = IndexedMinHeap()
+    oracle = _SwapHeap()
+    for op, item, prio in ops:
+        present = item in oracle._pos
+        if op == "push" and not present:
+            heap.push(item, prio)
+            oracle.push(item, prio)
+        elif op == "pop" and oracle._items:
+            assert heap.pop_min() == oracle.pop_min()
+        elif op == "decrement" and present:
+            by = prio if prio else 1  # negative steps sift down
+            heap.decrement(item, by)
+            oracle.decrement(item, by)
+        elif op == "update" and present:
+            heap.update(item, prio)
+            oracle.update(item, prio)
+        elif op == "remove" and present:
+            heap.remove(item)
+            oracle.remove(item)
+        assert heap._items == oracle._items
+        assert heap._prios == oracle._prios
+        assert heap._pos == oracle._pos

@@ -6,6 +6,7 @@ mid-superstep."""
 import multiprocessing
 import os
 import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -374,3 +375,81 @@ class TestWarmPoolFailures:
         assert multiprocessing.active_children() == []
         if before is not None:
             assert self._psm_segments() - before == set()
+
+    def test_worker_wedged_in_fork_is_forked_again(
+        self, sharded, tmp_path, monkeypatch
+    ):
+        """A forked worker that never reaches its job loop is replaced.
+
+        The first child to start blocks before the job loop (as if it
+        had inherited a held lock from the fork); the pool must kill it,
+        fork a fresh worker and then run bit-identically.
+        """
+        import repro.stream.workers as workers_mod
+        from repro.stream import (
+            PersistentWorkerPool,
+            open_edge_source,
+            parallel_scan_source,
+            scan_source,
+        )
+
+        graph, manifest = sharded
+        monkeypatch.setattr(workers_mod, "_FORK_READY_TIMEOUT", 1.0)
+        monkeypatch.setattr(
+            workers_mod, "_job_worker_main",
+            _wedge_first_start(
+                tmp_path / "wedged", workers_mod._job_worker_main
+            ),
+        )
+        pool = PersistentWorkerPool(2, mp_context="fork", timeout=30.0)
+        try:
+            pool.start()
+            assert (tmp_path / "wedged").exists()
+            assert pool.health()["healthy"]
+            stats = parallel_scan_source(manifest.path, 2, 64, pool=pool)
+        finally:
+            pool.shutdown()
+        expected = scan_source(open_edge_source(manifest.path, 64))
+        assert stats.num_edges == expected.num_edges == graph.num_edges
+        assert np.array_equal(stats.degrees, expected.degrees)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_wedged_on_every_fork_fails_cleanly(
+        self, monkeypatch
+    ):
+        import repro.stream.workers as workers_mod
+        from repro.stream import PersistentWorkerPool
+
+        monkeypatch.setattr(workers_mod, "_FORK_READY_TIMEOUT", 0.5)
+        monkeypatch.setattr(workers_mod, "_FORK_ATTEMPTS", 2)
+        monkeypatch.setattr(workers_mod, "_job_worker_main", _wedge_always)
+        pool = PersistentWorkerPool(2, mp_context="fork")
+        with pytest.raises(
+            WorkerFailureError,
+            match=r"worker 0 .*did not start.* 2 attempt",
+        ):
+            pool.start()
+        assert pool.pids == []
+        assert multiprocessing.active_children() == []
+
+
+def _wedge_first_start(token: Path, job_loop):
+    """Worker entry point whose first caller blocks before the job loop.
+
+    The first child to create ``token`` sleeps (standing in for a child
+    wedged inside ``os.fork()``); every later child runs ``job_loop``.
+    """
+
+    def entry(*args, **kwargs):
+        try:
+            os.close(os.open(token, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return job_loop(*args, **kwargs)
+        time.sleep(3600)
+
+    return entry
+
+
+def _wedge_always(*args, **kwargs):
+    """Worker entry point that never reaches the job loop."""
+    time.sleep(3600)

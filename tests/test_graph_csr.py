@@ -1,10 +1,14 @@
 """Tests for the CSR representation, pruning, and lazy removal."""
 
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.csr as csr_module
 from repro.graph import Graph, CsrGraph, build_pruned_csr, high_degree_mask, split_edges
 
 
@@ -223,7 +227,8 @@ def test_pruned_csr_properties(g, tau):
 @given(g=random_graph(max_n=12, max_m=40), data=st.data())
 def test_remove_marked_property(g, data):
     """Property: remove_marked removes exactly the flagged neighbors and
-    preserves everything else."""
+    preserves everything else; a call on many vertices (repeats allowed)
+    leaves the arrays exactly as per-vertex calls in order do."""
     csr = CsrGraph.build(g)
     v = data.draw(st.integers(0, g.num_vertices - 1))
     flags = data.draw(
@@ -235,4 +240,16 @@ def test_remove_marked_property(g, data):
     after = csr.neighbors(v).tolist()
     assert removed == sum(1 for u in before if marked[u])
     assert sorted(after) == sorted(u for u in before if not marked[u])
+    csr.check_invariants()
+
+    vertices = data.draw(st.lists(st.integers(0, g.num_vertices - 1)))
+    one_by_one = copy.deepcopy(csr)
+    expected = sum(one_by_one.remove_marked(w, marked) for w in vertices)
+    # Steps of 1 and 4 entries split the call into many vectorised runs.
+    shift = data.draw(st.sampled_from([0, 2, csr_module._COMPACT_SHIFT]))
+    with mock.patch.object(csr_module, "_COMPACT_SHIFT", shift):
+        removed = csr.remove_marked(np.asarray(vertices, dtype=np.int64), marked)
+    assert removed == expected
+    for name in ("col", "eid", "out_size", "in_size"):
+        np.testing.assert_array_equal(getattr(csr, name), getattr(one_by_one, name))
     csr.check_invariants()
