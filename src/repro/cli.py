@@ -8,8 +8,7 @@ Subcommands mirror the workflows a user of the original C++ system has:
   pipeline so edge files are never fully loaded,
 * ``scan``      — the counting/metrics passes alone: stream statistics
   and, with ``--parts``, replication factor and balance for a saved
-  assignment (``--metrics-workers`` fans both sweeps out over worker
-  processes),
+  assignment,
 * ``compare``   — run several partitioners on one graph side by side,
 * ``select-tau`` — pick the largest tau fitting a memory budget (§4.4),
 * ``extsort``   — rewrite an edge file in degree order with bounded
@@ -30,6 +29,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +105,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                          "exists to select tau (drop one of them)")
     if args.prefetch < 0:
         raise ReproError(f"--prefetch must be >= 0, got {args.prefetch}")
-    if args.metrics_workers < 0:
-        raise ReproError(
-            f"--metrics-workers must be >= 0, got {args.metrics_workers}"
-        )
-    if args.metrics_workers and not args.out_of_core:
-        raise ReproError("--metrics-workers requires --out-of-core (the "
-                         "in-memory path scores its Graph directly)")
     if args.workers is not None and not args.out_of_core:
         raise ReproError("--workers requires --out-of-core (worker "
                          "processes stream shard files, not RAM)")
@@ -178,9 +171,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _job_spec_from_args(args: argparse.Namespace):
     """Lower the ``partition`` flag set to a runtime JobSpec.
 
-    A worker run scans with the worker count unless
-    ``--metrics-workers`` says otherwise, and ``--batch`` falls back to
-    the BSP default.
+    A worker run's ``--batch`` falls back to the BSP default.
     """
     from repro.runtime.spec import make_job
     from repro.stream.workers import DEFAULT_WORKER_BATCH
@@ -206,11 +197,7 @@ def _job_spec_from_args(args: argparse.Namespace):
             workers=args.workers,
             batch=(DEFAULT_WORKER_BATCH if args.batch is None
                    else args.batch),
-            # 0 = "not set": scan with the worker count.
-            metrics_workers=args.metrics_workers or args.workers,
         )
-    else:
-        options.update(metrics_workers=args.metrics_workers)
     return make_job(
         algo, args.graph, args.k,
         chunk_size=args.chunk_size,
@@ -421,67 +408,64 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     The counting pass reports ``n``, ``m`` and degree statistics for
     any edge source.  With ``--parts`` (a per-edge partition-id file as
     written by ``partition --output``), the metrics pass additionally
-    reports replication factor and edge balance.  ``--metrics-workers
-    N`` runs both sweeps on N worker processes when the source is a
-    shard manifest or flat binary edge file — bit-identical results.
+    reports replication factor and edge balance.
     """
-    if args.metrics_workers < 0:
-        raise ReproError(
-            f"--metrics-workers must be >= 0, got {args.metrics_workers}"
-        )
-    from repro.stream import open_edge_source, scan_stats
-    from repro.stream.parallel_scan import effective_scan_workers
+    from repro.stream import open_edge_source, scan_source
 
-    opened = open_edge_source(args.graph, args.chunk_size)
-    # The same predicate scan_stats/scan_quality evaluate internally, so
-    # the printed path always matches the one that ran.
-    parallel = effective_scan_workers(args.graph, args.metrics_workers)
-    pool = None
-    if parallel:
-        from repro.stream import PersistentWorkerPool
-
-        pool = PersistentWorkerPool(args.metrics_workers)
-        pool.start()
-    try:
-        stats = scan_stats(
-            args.graph, opened, args.metrics_workers, args.chunk_size,
-            pool=pool,
-        )
-        print(f"source             : {opened.describe()}")
-        print(f"universe           : n={stats.num_vertices:,} "
-              f"m={stats.num_edges:,}")
-        max_degree = int(stats.degrees.max()) if stats.num_vertices else 0
-        isolated = int((stats.degrees == 0).sum())
-        print(f"degrees            : mean {stats.mean_degree:.3f}, "
-              f"max {max_degree:,}, isolated {isolated:,}")
-        if parallel:
-            print(f"scan passes        : {parallel} worker processes")
+    parts = None
+    if args.parts is not None:
+        # Read before the counting pass: a bad file fails without a sweep.
+        parts = _read_parts(args.parts)
+        if args.k is not None:
+            k = args.k
+        elif parts.size:
+            k = int(max(parts.max(), 0)) + 1
         else:
-            print("scan passes        : sequential")
-        if args.parts is None:
-            return 0
-        from repro.metrics import streamed_quality_report
+            raise ReproError(
+                "cannot infer k from an empty assignment; pass --k"
+            )
+    opened = open_edge_source(args.graph, args.chunk_size)
+    stats = scan_source(opened)
+    print(f"source             : {opened.describe()}")
+    print(f"universe           : n={stats.num_vertices:,} "
+          f"m={stats.num_edges:,}")
+    max_degree = int(stats.degrees.max()) if stats.num_vertices else 0
+    isolated = int((stats.degrees == 0).sum())
+    print(f"degrees            : mean {stats.mean_degree:.3f}, "
+          f"max {max_degree:,}, isolated {isolated:,}")
+    print("scan passes        : sequential")
+    if parts is None:
+        return 0
+    from repro.metrics import streamed_quality_report
 
-        parts = np.loadtxt(args.parts, dtype=np.int64, ndmin=1)
-        k = args.k if args.k is not None else int(max(parts.max(), 0)) + 1
-        report = streamed_quality_report(
-            args.graph,
-            parts,
-            k,
-            workers=args.metrics_workers,
-            chunk_size=args.chunk_size,
-            memory_budget=args.memory_budget,
-            stats=stats,  # the counting pass above; don't sweep twice
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    report = streamed_quality_report(
+        args.graph,
+        parts,
+        k,
+        chunk_size=args.chunk_size,
+        memory_budget=args.memory_budget,
+        stats=stats,  # the counting pass above; don't sweep twice
+    )
     print(f"assignment         : {args.parts} (k={k})")
     print(f"replication factor : {report.replication_factor:.4f}")
     print(f"edge balance alpha : {report.edge_balance:.4f}")
     print(f"unassigned edges   : {report.num_unassigned:,}")
     return 0
+
+
+def _read_parts(path: str) -> np.ndarray:
+    """A per-edge partition-id file (one integer per line) as int64."""
+    try:
+        with warnings.catch_warnings():
+            # An empty file is an empty assignment, not a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ReproError(
+            f"{path}: not a partition-id file (one integer per line): {exc}"
+        ) from None
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -519,7 +503,7 @@ def _cmd_extsort(args: argparse.Namespace) -> int:
     result = external_sort_edges(
         args.graph, args.output, order=args.order,
         chunk_size=args.chunk_size, num_shards=args.shards,
-        compression=args.compress, scan_workers=args.scan_workers,
+        compression=args.compress,
     )
     print(f"sorted             : {args.graph} -> {result.path}")
     print(f"order              : {result.order}")
@@ -659,14 +643,6 @@ def _budget_parent(budget_help: str) -> argparse.ArgumentParser:
     return parent
 
 
-def _worker_parent(metrics_help: str) -> argparse.ArgumentParser:
-    """Parent parser: the scan-worker flag group."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--metrics-workers", type=int, default=0, metavar="N",
-                        help=metrics_help)
-    return parent
-
-
 def _partition_parents() -> list[argparse.ArgumentParser]:
     """The shared flag groups ``partition`` and ``job describe`` use."""
     return [
@@ -677,12 +653,6 @@ def _partition_parents() -> list[argparse.ArgumentParser]:
         _budget_parent(
             "byte budget for HEP's in-memory structures; "
             "selects tau from the §4.4 grid (overrides --tau)"
-        ),
-        _worker_parent(
-            "run the counting/metrics passes on N worker "
-            "processes (--out-of-core; bit-identical results; "
-            "0 = sequential, or the --workers count for the "
-            "multi-worker drivers)",
         ),
     ]
 
@@ -782,11 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "byte bound for the metrics cover; larger covers "
                 "fall back to column-blocked sweeps"
             ),
-            _worker_parent(
-                "run both passes on N worker processes (shard "
-                "manifests and flat binary edge files; one warm "
-                "pool serves both)",
-            ),
             _trace_parent(),
         ],
     )
@@ -832,9 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "a manifest (output becomes <out>.manifest.json)")
     p.add_argument("--compress", choices=("zlib",), default=None,
                    help="zlib-framed shard files (requires --shards)")
-    p.add_argument("--scan-workers", type=int, default=0, metavar="N",
-                   help="run the counting pass (which keys the sort) on "
-                        "N worker processes")
     p.set_defaults(func=_cmd_extsort)
 
     p = sub.add_parser(

@@ -43,10 +43,6 @@ def validate_spec(spec: JobSpec) -> None:
         raise ConfigurationError(
             f"memory_budget must be positive, got {spec.memory_budget}"
         )
-    if spec.metrics_workers < 0:
-        raise ConfigurationError(
-            f"metrics_workers must be >= 0, got {spec.metrics_workers}"
-        )
     if spec.workers < 0:
         raise ConfigurationError(
             f"workers must be >= 0, got {spec.workers}"

@@ -3,12 +3,13 @@
 Two strategies exist, selected from the spec's execution shape:
 
 * :class:`InProcessExecutor` (``workers == 0``) — sequential chunk
-  sweeps in the coordinator process; the counting/metrics passes may
-  still fan out over scan workers (``metrics_workers``) on a warm
-  :class:`~repro.stream.workers.PersistentWorkerPool`,
+  sweeps in the coordinator process,
 * :class:`PoolExecutor` (``workers >= 1``) — the streaming phase runs
-  on BSP worker processes over shared memory, reusing one warm pool
-  across the counting pass, the stream, and the metrics pass.
+  on BSP worker processes over shared memory, on one warm
+  :class:`~repro.stream.workers.PersistentWorkerPool`.
+
+The counting and metrics passes are not strategy-specific: every job
+sweeps them in process (:mod:`repro.stream.scan`).
 
 Both strategies are pinned bit-identical to each other and to the
 in-memory oracles by the equivalence/Hypothesis suites; the executor
@@ -31,12 +32,12 @@ from repro.runtime.stages import RunContext, informed_phase_two_state
 __all__ = ["Executor", "InProcessExecutor", "PoolExecutor", "select_executor"]
 
 
-def _start_pool(spec: JobSpec, ctx: RunContext, workers: int) -> None:
+def _start_pool(spec: JobSpec, ctx: RunContext) -> None:
     """Spawn the run's warm pool with the spec's start method and timeout."""
     from repro.stream.workers import PersistentWorkerPool
 
     pool = PersistentWorkerPool(
-        workers, mp_context=spec.mp_context, timeout=spec.timeout
+        spec.workers, mp_context=spec.mp_context, timeout=spec.timeout
     )
     # Registered on the context *before* start(): if an interrupt lands
     # mid-spawn, finish() still reaps it.
@@ -45,13 +46,10 @@ def _start_pool(spec: JobSpec, ctx: RunContext, workers: int) -> None:
 
 
 class Executor:
-    """Shared executor surface: lifecycle hooks plus the pass strategies.
+    """Shared executor surface: lifecycle hooks plus the stream strategy.
 
     ``prepare`` runs before the source is opened, ``start`` just after,
-    ``finish`` in the run's ``finally``.  The scan passes are identical
-    across strategies (the front doors in
-    :mod:`repro.stream.parallel_scan` pick sequential or pooled
-    internally), so they live here.
+    ``finish`` in the run's ``finally``.
     """
 
     name = "base"
@@ -68,25 +66,6 @@ class Executor:
             ctx.pool.shutdown()
             ctx.pool = None
 
-    def scan_stats_pass(self, spec: JobSpec, ctx: RunContext):
-        """Counting pass through the parallel-scan front door."""
-        from repro.stream.parallel_scan import scan_stats
-
-        return scan_stats(
-            ctx.source, ctx.src, spec.metrics_workers, spec.chunk_size,
-            pool=ctx.pool,
-        )
-
-    def scan_quality_pass(self, spec: JobSpec, ctx: RunContext):
-        """Metrics pass through the parallel-scan front door."""
-        from repro.stream.parallel_scan import scan_quality
-
-        return scan_quality(
-            ctx.source, ctx.src, ctx.stats, spec.k, ctx.parts,
-            spec.metrics_workers, spec.chunk_size,
-            memory_budget=spec.memory_budget, pool=ctx.pool,
-        )
-
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
         """Streaming-pipeline stream stage (strategy-specific)."""
         raise NotImplementedError
@@ -100,17 +79,6 @@ class InProcessExecutor(Executor):
     """Sequential sweeps in the coordinator process (``workers == 0``)."""
 
     name = "in-process"
-
-    def start(self, spec: JobSpec, ctx: RunContext) -> None:
-        """Warm scan pool for the counting/metrics fan-outs, if asked.
-
-        One pool serves both scan passes when ``metrics_workers > 1``
-        and the source supports parallel scans.
-        """
-        from repro.stream.parallel_scan import effective_scan_workers
-
-        if effective_scan_workers(ctx.source, spec.metrics_workers):
-            _start_pool(spec, ctx, spec.metrics_workers)
 
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
         """Chunked sweeps through the algorithm adapter (one per pass)."""
@@ -174,12 +142,12 @@ class PoolExecutor(Executor):
         if num_edges == 0:
             raise PartitioningError("multi-worker HDRF: edge stream is empty")
         ctx.segments = segments
-        _start_pool(spec, ctx, spec.workers)
+        _start_pool(spec, ctx)
 
     def start(self, spec: JobSpec, ctx: RunContext) -> None:
         """Multi-worker HEP: spawn the warm pool once the source is open."""
         if pipeline_kind(spec) == "hep":
-            _start_pool(spec, ctx, spec.workers)
+            _start_pool(spec, ctx)
 
     def _run_bsp(self, spec: JobSpec, segments, state, parts, ctx):
         """One shared-memory BSP run over ``segments`` on the warm pool."""

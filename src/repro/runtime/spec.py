@@ -3,7 +3,7 @@
 A :class:`JobSpec` is the runtime's single description of "one
 partitioning job": what to read (:class:`InputSpec`), which algorithm
 with which parameters, ``k``, the memory budget, and the execution
-shape (workers/batch/scan workers).  Two properties make it the
+shape (workers/batch).  Two properties make it the
 substrate for the content-addressed artifact store
 (:mod:`repro.runtime.store`) and the future ``repro.serve`` job queue:
 
@@ -14,9 +14,8 @@ substrate for the content-addressed artifact store
   produce distinct spellings of the same job, and
 * **a stable content hash** — :meth:`JobSpec.content_hash` digests only
   the *semantic* fields (those that can change the assignment).  Pure
-  I/O knobs (``prefetch``, ``mmap``), scan parallelism
-  (``metrics_workers`` — bit-identical by the equivalence suites),
-  spill placement, and pool plumbing
+  I/O knobs (``prefetch``, ``mmap``), spill placement, and pool
+  plumbing
   (``mp_context``, ``timeout``) are excluded, so equivalent runs share
   a cache entry.  ``workers``/``batch`` *are* semantic: the BSP
   schedule's staleness window changes assignments.
@@ -158,7 +157,6 @@ class JobSpec:
     # execution shape
     workers: int = 0
     batch: int = DEFAULT_WORKER_BATCH
-    metrics_workers: int = 0
     mp_context: str | None = None
     timeout: float = DEFAULT_WORKER_TIMEOUT
     # trace options (observational only, never hashed)
@@ -223,7 +221,6 @@ class JobSpec:
             "spill_compression": self.spill_compression,
             "workers": int(self.workers),
             "batch": int(self.batch),
-            "metrics_workers": int(self.metrics_workers),
             "mp_context": self.mp_context,
             "timeout": float(self.timeout),
             "trace_path": self.trace_path,
@@ -240,8 +237,8 @@ class JobSpec:
         """The subset of fields that can change the assignment.
 
         Everything excluded here is pinned bit-identical by the
-        equivalence suites (scan parallelism, prefetch/mmap I/O, spill
-        placement, pool plumbing, tracing).
+        equivalence suites (prefetch/mmap I/O, spill placement, pool
+        plumbing, tracing).
         """
         return {
             "version": SPEC_VERSION,
@@ -303,8 +300,7 @@ def make_job(
     The ergonomic front door the CLI, experiments, and benches use:
     ``source`` is classified by :meth:`InputSpec.from_source`,
     ``algo_params`` accepts a dict or ``(name, value)`` pairs (merged
-    over the registered defaults), and ``metrics_workers`` defaults to
-    ``workers`` when a worker count is given.  Every other keyword is a
+    over the registered defaults).  Every other keyword is a
     :class:`JobSpec` field; ``run_job(make_job(...), source=source)``
     runs the job.
     """
@@ -316,9 +312,6 @@ def make_job(
         params = tuple(algo_params.items())
     else:
         params = tuple(algo_params)
-    workers = int(options.get("workers", 0))
-    if workers >= 1 and "metrics_workers" not in options:
-        options["metrics_workers"] = workers
     return JobSpec(
         algo=algo, k=int(k), input=input_spec, algo_params=params, **options
     )

@@ -28,9 +28,7 @@ fully resident in memory*; each stage is bounded by the chunk size:
    computed by chunked sweeps over the source.  The per-partition
    vertex covers are bit-packed (``k x n`` bits via
    :class:`~repro.stream.scan.PackedCover`); when even that exceeds the
-   byte budget the sweep falls back to column blocks, and with
-   ``metrics_workers > 1`` both this pass and the counting pass run on
-   worker processes (:mod:`repro.stream.parallel_scan`) bit-identically.
+   byte budget the sweep falls back to column blocks.
 
 With ``order="natural"`` and no buffering the result is bit-identical
 to :class:`~repro.core.hep.HepPartitioner` on the same input, for every
@@ -41,8 +39,9 @@ through a :class:`~repro.stream.driver.StreamingAlgorithm` adapter.
 Stages take ``(spec, ctx, executor)``: the spec is frozen
 configuration, the :class:`RunContext` carries the materializing state
 (source, stats, CSR, spill, parts, ...), and the executor supplies the
-strategy for the passes that have both an in-process and a worker-pool
-form (:mod:`repro.runtime.executor`).
+strategy for the stream stage, which has both an in-process and a
+worker-pool form (:mod:`repro.runtime.executor`).  The count and
+metrics sweeps always run in process (:mod:`repro.stream.scan`).
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from repro.obs.tracer import get_tracer
 from repro.runtime.plan import pipeline_kind, register_stage
 from repro.runtime.registry import create_algorithm
 from repro.runtime.spec import JobSpec
+from repro.stream.scan import chunked_quality, scan_source
 
 __all__ = ["RunContext"]
 
@@ -121,7 +121,7 @@ class RunContext:
 @register_stage("count", provides=("stats",))
 def stage_count(spec: JobSpec, ctx: RunContext, executor) -> None:
     """Counting pass: exact degrees, vertex universe, edge count."""
-    ctx.stats = executor.scan_stats_pass(spec, ctx)
+    ctx.stats = scan_source(ctx.src)
     if ctx.stats.num_edges == 0:
         raise PartitioningError(ctx.empty_message)
 
@@ -198,8 +198,8 @@ def stage_stream(spec: JobSpec, ctx: RunContext, executor) -> None:
 @register_stage("metrics", provides=("replication_factor", "edge_balance"))
 def stage_metrics(spec: JobSpec, ctx: RunContext, executor) -> None:
     """Metrics pass: replication factor and edge balance over the source."""
-    ctx.replication_factor, ctx.edge_balance = executor.scan_quality_pass(
-        spec, ctx
+    ctx.replication_factor, ctx.edge_balance = chunked_quality(
+        ctx.src, ctx.stats, spec.k, ctx.parts, spec.memory_budget
     )
 
 

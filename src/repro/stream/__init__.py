@@ -13,9 +13,6 @@ paper compares against:
   (``O(n)`` state instead of the ``O(m)`` edge list; the metrics cover
   is bit-packed — ``k x n`` true bits — with a budget-aware
   column-blocked fallback),
-* :mod:`repro.stream.parallel_scan` — the same two passes fanned out
-  over worker processes (degrees summed, covers OR-ed), bit-identical
-  to the sequential sweeps (``--metrics-workers N``),
 * :mod:`repro.stream.spill` — the disk-backed h2h edge file NE++
   appends to instead of holding high/high edges in RAM (raw or
   zlib-framed on-disk format),
@@ -51,13 +48,6 @@ stream -> metrics`` under a byte budget from
 from repro.stream.buffered import buffered_hdrf_stream, stream_chunks_through_hdrf
 from repro.stream.driver import StreamingAlgorithm
 from repro.stream.extsort import EXTSORT_ORDERS, ExtSortResult, external_sort_edges
-from repro.stream.parallel_scan import (
-    parallel_chunked_quality,
-    parallel_scan_source,
-    scan_quality,
-    scan_stats,
-    supports_parallel_scan,
-)
 from repro.stream.reader import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_PREFETCH_DEPTH,
@@ -113,11 +103,6 @@ __all__ = [
     "chunked_quality",
     "PackedCover",
     "plan_cover_blocks",
-    "parallel_scan_source",
-    "parallel_chunked_quality",
-    "scan_stats",
-    "scan_quality",
-    "supports_parallel_scan",
     "SpillFile",
     "read_spill_header",
     "read_spill_chunks",

@@ -15,8 +15,8 @@ Architecture
 
 * **The pool** (:class:`PersistentWorkerPool`) spawns its workers once;
   each runs a job loop (:func:`_job_worker_main`) that executes pickled
-  ``(handler, kwargs)`` jobs — a BSP streaming run here, a counting or
-  metrics sweep in :mod:`repro.stream.parallel_scan`.
+  ``(handler, kwargs)`` jobs — the BSP streaming run
+  (:func:`_stream_shared_job`).
 * **The state** lives in one :class:`~repro.parallel.shm.SharedState`
   segment.  Per superstep a worker (:func:`_stream_shared_job`) reads
   the next ``batch`` edges of its stream, scores them against the
@@ -307,8 +307,7 @@ def _job_worker_main(
     handshake).  The pool spawns these once and then
     :meth:`PersistentWorkerPool.submit`\\ s any number of jobs — a
     job is a pickled ``(handler, kwargs)`` pair, and the handler owns
-    whatever pipe protocol it needs (BSP supersteps, one-shot
-    count/cover sweeps, ...).
+    whatever pipe protocol it needs (the BSP supersteps here).
 
     After each successful job the worker ships its drained trace records
     (when tracing) so the coordinator can adopt them per job.  A failed
@@ -601,13 +600,11 @@ def live_pool_health() -> list[dict]:
 class PersistentWorkerPool:
     """Warm worker processes: spawn once, run many jobs, shut down once.
 
-    The pool keeps its processes alive across jobs — the counting pass,
-    the streaming phase, and the metrics pass of one partition run (or
-    many runs) all reuse the same workers, so the spawn tax is paid
-    once.  A job is a module-level handler plus kwargs, pickled into
-    one :data:`_MSG_JOB` frame; the handler owns the pipe protocol from
-    there (:func:`_stream_shared_job` drives BSP supersteps, the
-    handlers in :mod:`repro.stream.parallel_scan` run one-shot sweeps).
+    The pool keeps its processes alive across jobs — many streaming
+    runs reuse the same workers, so the spawn tax is paid once.  A job
+    is a module-level handler plus kwargs, pickled into one
+    :data:`_MSG_JOB` frame; the handler owns the pipe protocol from
+    there (:func:`_stream_shared_job` drives BSP supersteps).
 
     The pool owns the processes, pipes, the liveness-watching receive
     loop and the single-:class:`~repro.errors.WorkerFailureError`
@@ -623,8 +620,7 @@ class PersistentWorkerPool:
     timeout:
         Seconds the coordinator waits on a silent worker before raising
         :class:`~repro.errors.WorkerFailureError`.  It is per received
-        frame; callers running long uninterrupted sweeps (the scan
-        front doors) temporarily widen it around their job.
+        frame.
     """
 
     def __init__(

@@ -587,78 +587,56 @@ class TestScanCommand:
                 assert line in scan_out
         assert "unassigned edges   : 0" in scan_out
 
-    def test_scan_parallel_workers(self, binary_graph, tmp_path, capsys):
+    def test_scan_budgeted_default_k(self, binary_graph, tmp_path, capsys):
         g, path = binary_graph
         parts_file = tmp_path / "parts.txt"
         np.savetxt(parts_file, np.zeros(g.num_edges, dtype=np.int64), fmt="%d")
         rc = main(
             ["scan", str(path), "--parts", str(parts_file),
-             "--metrics-workers", "2", "--memory-budget", "64"]
+             "--memory-budget", "64"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "2 worker processes" in out
         # k defaults to max id + 1 = 1; every covered vertex once.
+        assert "(k=1)" in out
         assert "replication factor : 1.0000" in out
 
-    def test_scan_rejects_negative_workers(self, binary_graph, capsys):
+    def test_scan_empty_parts_needs_k(self, binary_graph, tmp_path, capsys):
         _, path = binary_graph
-        rc = main(["scan", str(path), "--metrics-workers", "-1"])
+        parts_file = tmp_path / "empty.txt"
+        parts_file.write_text("")
+        rc = main(["scan", str(path), "--parts", str(parts_file)])
         assert rc == 1
-        assert "--metrics-workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "cannot infer k from an empty assignment; pass --k" in err
+        assert "Traceback" not in err
 
-    def test_metrics_workers_requires_out_of_core(
-        self, small_graph_file, capsys
-    ):
-        rc = main(
-            ["partition", str(small_graph_file), "--k", "2",
-             "--metrics-workers", "2"]
-        )
+    def test_scan_missing_parts_file(self, binary_graph, tmp_path, capsys):
+        _, path = binary_graph
+        missing = tmp_path / "missing.txt"
+        rc = main(["scan", str(path), "--parts", str(missing), "--k", "2"])
         assert rc == 1
-        assert "--metrics-workers requires" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert str(missing) in err
+        assert "Traceback" not in err
 
-    def test_partition_metrics_workers_matches_sequential(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("bad", ["x", "1.7"])
+    def test_scan_bad_parts_entry_names_file(
+        self, binary_graph, tmp_path, capsys, bad
     ):
-        g = Graph.from_edges(
-            [(i, (i + j) % 19) for i in range(19) for j in (1, 2, 3)],
-            num_vertices=19,
-        )
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(g, path)
-        rc = main(
-            ["partition", str(path), "--k", "2", "--algo", "HDRF",
-             "--out-of-core", "--metrics-workers", "2"]
-        )
-        assert rc == 0
-        fanned = capsys.readouterr().out
-        rc = main(
-            ["partition", str(path), "--k", "2", "--algo", "HDRF",
-             "--out-of-core"]
-        )
-        assert rc == 0
-        sequential = capsys.readouterr().out
-
-        def quality(text):
-            return [
-                line for line in text.splitlines()
-                if "replication factor" in line or "edge balance" in line
-            ]
-
-        assert quality(fanned) == quality(sequential)
-
-    def test_extsort_scan_workers(self, tmp_path, capsys):
-        g = Graph.from_edges(
-            [(i, (i + 1) % 12) for i in range(12)], num_vertices=12
-        )
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(g, path)
-        rc = main(
-            ["extsort", str(path), str(tmp_path / "sorted.bin"),
-             "--order", "degree", "--scan-workers", "2"]
-        )
-        assert rc == 0
-        assert (tmp_path / "sorted.bin").stat().st_size == path.stat().st_size
+        g, path = binary_graph
+        parts_file = tmp_path / "bad.txt"
+        lines = ["0"] * g.num_edges
+        lines[3] = bad
+        parts_file.write_text("\n".join(lines) + "\n")
+        rc = main(["scan", str(path), "--parts", str(parts_file), "--k", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(parts_file) in err
+        assert "Traceback" not in err
 
 
 class TestTraceFlags:

@@ -277,9 +277,10 @@ class TestWarmPoolFailures:
             graph.num_vertices, 4, capacity, exact_degrees=graph.degrees
         )
         parts = np.full(graph.num_edges, -1, dtype=np.int32)
-        return run_bsp_shared(
+        run_bsp_shared(
             pool, segments, state, parts, batch=batch, chunk_size=64
         )
+        return parts
 
     def test_killed_warm_worker_raises_and_leaks_nothing(self, sharded):
         from repro.stream import PersistentWorkerPool
@@ -386,12 +387,10 @@ class TestWarmPoolFailures:
         fork a fresh worker and then run bit-identically.
         """
         import repro.stream.workers as workers_mod
-        from repro.stream import (
-            PersistentWorkerPool,
-            open_edge_source,
-            parallel_scan_source,
-            scan_source,
-        )
+        from repro.parallel import bsp_hdrf_stream
+        from repro.partition.base import capacity_bound
+        from repro.partition.state import StreamingState
+        from repro.stream import PersistentWorkerPool, plan_worker_segments
 
         graph, manifest = sharded
         monkeypatch.setattr(workers_mod, "_FORK_READY_TIMEOUT", 1.0)
@@ -406,12 +405,22 @@ class TestWarmPoolFailures:
             pool.start()
             assert (tmp_path / "wedged").exists()
             assert pool.health()["healthy"]
-            stats = parallel_scan_source(manifest.path, 2, 64, pool=pool)
+            parts = self._shared_run(graph, manifest, pool)
         finally:
             pool.shutdown()
-        expected = scan_source(open_edge_source(manifest.path, 64))
-        assert stats.num_edges == expected.num_edges == graph.num_edges
-        assert np.array_equal(stats.degrees, expected.degrees)
+        # The in-process BSP schedule of the same workers/batch/streams.
+        _, streams, _, _ = plan_worker_segments(manifest.path, 2)
+        state = StreamingState(
+            graph.num_vertices, 4, capacity_bound(graph.num_edges, 4, 1.0),
+            exact_degrees=graph.degrees,
+        )
+        expected = np.full(graph.num_edges, -1, dtype=np.int32)
+        bsp_hdrf_stream(
+            state, graph.edges, np.arange(graph.num_edges), expected,
+            2, batch=2, streams=streams,
+        )
+        assert (parts >= 0).all()
+        assert np.array_equal(parts, expected)
         assert multiprocessing.active_children() == []
 
     def test_worker_wedged_on_every_fork_fails_cleanly(

@@ -76,9 +76,8 @@ class TestWorkerSpanForwarding:
             assert stream["counters"]["edges_scanned"] > 0
             assert stream["counters"]["busy_s"] >= 0.0
 
-        # The counting/metrics fan-outs forward their worker spans too.
-        assert sum(s["name"] == "worker_count" for s in spans) == 2
-        assert sum(s["name"] == "worker_cover" for s in spans) == 2
+        # The counting/metrics passes run in the coordinator.
+        assert {"count_pass", "metrics_pass"} <= {s["name"] for s in spans}
 
     def test_shared_memory_run_records_shm_spans(self, manifest):
         _, spans = _collected_run(

@@ -139,7 +139,7 @@ class TestAdoption:
 
     def test_adopt_without_open_span_keeps_roots_parentless(self):
         worker = Tracer(None)
-        with worker.span("worker_count"):
+        with worker.span("worker_stream"):
             pass
         coord = Tracer(None)
         coord.adopt(worker.drain())

@@ -111,7 +111,6 @@ class TestContentHash:
         for variant in (
             make_job("HDRF", "OK", 4, prefetch=4),
             make_job("HDRF", "OK", 4, mmap=True),
-            make_job("HDRF", "OK", 4, metrics_workers=2),
             make_job("HDRF", "OK", 4, spill_dir=str(tmp_path)),
             make_job("HDRF", "OK", 4, trace_path="t.jsonl"),
         ):
@@ -266,10 +265,8 @@ class TestArtifactCache:
 
 
 class TestExecutorPools:
-    def test_in_process_scan_pool_follows_the_spec(
-        self, edge_file, monkeypatch
-    ):
-        """Sequential HEP's scan pool takes mp_context/timeout from the spec."""
+    def test_worker_pool_follows_the_spec(self, edge_file, monkeypatch):
+        """A worker run's pool takes mp_context/timeout from the spec."""
         from repro.stream.workers import PersistentWorkerPool
 
         started = []
@@ -280,17 +277,17 @@ class TestExecutorPools:
             return original(pool)
 
         monkeypatch.setattr(PersistentWorkerPool, "start", recording_start)
-        pooled = run_job(make_job(
+        spawned = run_job(make_job(
             "HEP", edge_file, 4, tau=2.0, chunk_size=256,
-            metrics_workers=2, mp_context="spawn", timeout=45.0,
+            workers=2, mp_context="spawn", timeout=45.0,
         ))
         assert started == [(2, "spawn", 45.0)]
-        sequential = run_job(make_job(
-            "HEP", edge_file, 4, tau=2.0, chunk_size=256,
+        default = run_job(make_job(
+            "HEP", edge_file, 4, tau=2.0, chunk_size=256, workers=2,
         ))
-        assert np.array_equal(pooled.parts, sequential.parts)
-        assert pooled.replication_factor == sequential.replication_factor
-        assert pooled.edge_balance == sequential.edge_balance
+        assert np.array_equal(spawned.parts, default.parts)
+        assert spawned.replication_factor == default.replication_factor
+        assert spawned.edge_balance == default.edge_balance
 
 
 class TestJobCli:

@@ -192,6 +192,20 @@ class TestSubmitValidation:
 
         asyncio.run(scenario())
 
+    def test_retired_metrics_workers_key_is_400(self, edge_file, tmp_path):
+        """The scan sweeps always run in process; the knob is gone."""
+        async def scenario():
+            _, manager, _, app = await _service(tmp_path / "c", start=False)
+            status, doc = await _asgi_json(
+                app, "POST", "/jobs", _payload(edge_file, metrics_workers=2)
+            )
+            assert status == 400
+            assert "unknown submit key" in doc["error"]
+            assert "metrics_workers" in doc["error"]
+            await manager.shutdown()
+
+        asyncio.run(scenario())
+
     def test_queue_full_is_503(self, edge_file, tmp_path):
         async def scenario():
             _, manager, _, app = await _service(
