@@ -3,9 +3,11 @@
 Subcommands mirror the workflows a user of the original C++ system has:
 
 * ``partition`` — partition an edge-list file (or a named stand-in
-  dataset) and write one partition id per edge; ``--out-of-core`` runs
-  HEP *or any streaming baseline* (``--algo``) through the chunked
-  pipeline so edge files are never fully loaded,
+  dataset) and write one partition id per edge; HEP and every
+  streaming baseline run through the chunked pipeline, so binary edge
+  files are never fully loaded (text edge lists are loaded and
+  canonicalized first), and only the methods without a streaming form
+  (NE, METIS, ...) load the graph,
 * ``scan``      — the counting/metrics passes alone: stream statistics
   and, with ``--parts``, replication factor and balance for a saved
   assignment,
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import HepPartitioner, precompute_profile, select_tau
+from repro.core import precompute_profile, select_tau
 from repro.errors import ReproError
 from repro.experiments import REGISTRY
 from repro.experiments.common import PARTITIONER_FACTORIES, run_partitioner
@@ -54,8 +56,19 @@ from repro.stream.reader import DEFAULT_CHUNK_SIZE
 __all__ = ["main", "build_parser"]
 
 
+def _graph_name(source: str) -> str:
+    """A source's graph name: the dataset's, else the file stem."""
+    if source.upper() in datasets.available():
+        return source.upper()
+    return Path(source).stem
+
+
 def _load_graph(source: str) -> Graph:
-    """Dataset name, text/binary edge list, or shard manifest."""
+    """Dataset name, text/binary edge list, or shard manifest.
+
+    The graph is canonical: self-loops and duplicate edges are dropped
+    (:meth:`Graph.from_edges`).
+    """
     if source.upper() in datasets.available():
         return datasets.load(source)
     path = Path(source)
@@ -66,22 +79,44 @@ def _load_graph(source: str) -> Graph:
         )
     from repro.stream.shard import ShardedEdgeSource, is_manifest_path
 
+    name = _graph_name(source)
     if is_manifest_path(path):
         src = ShardedEdgeSource(path)
         pairs = [chunk.pairs for chunk in src]
         edges = (
             np.vstack(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
         )
-        return Graph.from_edges(
-            edges, num_vertices=src.num_vertices, name=path.stem
-        )
+        return Graph.from_edges(edges, num_vertices=src.num_vertices,
+                                name=name)
     from repro.stream.reader import BINARY_SUFFIXES, require_edge_format
 
     if path.suffix in BINARY_SUFFIXES:
         require_edge_format(path, "binary")
-        return read_binary_edgelist(path, name=path.stem)
+        return read_binary_edgelist(path, name=name)
     require_edge_format(path, "text")
-    return read_text_edgelist(path, name=path.stem)
+    return read_text_edgelist(path, name=name)
+
+
+def _job_source(source: str) -> str | Graph:
+    """What a streamed method reads: a text edge list is loaded with
+    :func:`_load_graph`; any other source streams as it is.
+
+    External edge lists come as text and often hold self-loops and
+    duplicate edges, which the chunked readers do not drop (they
+    require canonical input), so a text file is canonicalized in memory
+    as the in-memory methods do.  Binary edge files and shard manifests
+    (what ``datasets --export`` and ``extsort`` write) and dataset
+    names stream without loading.
+    """
+    path = Path(source)
+    if source.upper() in datasets.available() or not path.is_file():
+        return source
+    from repro.stream.reader import BINARY_SUFFIXES
+    from repro.stream.shard import is_manifest_path
+
+    if is_manifest_path(path) or path.suffix in BINARY_SUFFIXES:
+        return source
+    return _load_graph(source)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -90,209 +125,120 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
         print(algorithm_catalog())
         return 0
-    if args.cache is not None and not args.out_of_core:
-        raise ReproError("--cache requires --out-of-core (the cache stores "
-                         "runtime job results)")
+    if _is_streamed(args.method):
+        return _partition_streamed(args)
+    return _partition_in_memory(args)
+
+
+def _is_streamed(method: str) -> bool:
+    """HEP, ``HEP-<tau>`` and the registered streaming algorithms run
+    through :func:`repro.runtime.api.run_job`; the rest load the graph."""
+    from repro.runtime.registry import algorithm_names
+
+    name = method.upper()
+    return (
+        name == "HEP" or name.startswith("HEP-")
+        or name in {algo.upper() for algo in algorithm_names()}
+    )
+
+
+def _job_spec_from_args(args: argparse.Namespace, source):
+    """Lower the ``partition`` flag set to a runtime JobSpec over
+    ``source`` (:func:`_job_source`).
+
+    Only the CLI's own rules live here; which knobs a job may combine
+    is :func:`~repro.runtime.api.validate_spec`'s to decide.  A
+    ``HEP-<tau>`` name runs as HEP with that tau.
+    """
+    from repro.runtime.spec import make_job
+
     if args.passes is not None and args.method.lower() != "restreaming":
         raise ReproError("--passes applies only to the Restreaming method")
-    if args.tau is not None and args.method.upper() != "HEP":
-        # HEP-<x> spellings carry their tau in the name; only plain HEP
-        # takes the flag.
-        raise ReproError("--tau applies only to the HEP method "
-                         "(HEP-<tau> names carry their own)")
-    if args.tau is not None and args.memory_budget is not None:
-        raise ReproError("--tau and --memory-budget conflict: the budget "
-                         "exists to select tau (drop one of them)")
-    if args.prefetch < 0:
-        raise ReproError(f"--prefetch must be >= 0, got {args.prefetch}")
-    if args.workers is not None and not args.out_of_core:
-        raise ReproError("--workers requires --out-of-core (worker "
-                         "processes stream shard files, not RAM)")
     if args.batch is not None and args.workers is None:
         raise ReproError("--batch sizes the per-worker superstep; it "
                          "requires --workers")
-    if args.out_of_core:
-        return _partition_out_of_core(args)
-    if args.memory_budget is not None:
-        raise ReproError("--memory-budget requires --out-of-core (the "
-                         "in-memory path cannot honor a byte budget)")
-    if args.prefetch:
-        raise ReproError("--prefetch requires --out-of-core (the in-memory "
-                         "path loads the file in one read)")
-    if args.mmap:
-        raise ReproError("--mmap requires --out-of-core (the in-memory "
-                         "path loads the file in one read)")
-    if args.spill_compression is not None:
-        raise ReproError("--spill-compression requires --out-of-core")
-    graph = _load_graph(args.graph)
-    if args.method.upper() == "HEP":
-        partitioner = HepPartitioner(
-            tau=10.0 if args.tau is None else args.tau,
-            spill_dir=args.spill_dir,
-            buffer_size=args.buffer_size,
-            chunk_size=args.chunk_size,
-        )
-    elif args.spill_dir is not None or args.buffer_size is not None:
-        raise ReproError("--spill-dir/--buffer-size apply only to HEP")
-    elif args.method.lower() == "restreaming":
-        from repro.partition import RestreamingHdrfPartitioner
-
-        # Only forward --passes when given, so the class default is the
-        # single source of truth.
-        kwargs = {} if args.passes is None else {"passes": args.passes}
-        partitioner = RestreamingHdrfPartitioner(**kwargs)
-    else:
-        from repro.experiments.common import make_partitioner
-
-        partitioner = make_partitioner(args.method)
-    start = time.perf_counter()
-    assignment = partitioner.partition(graph, args.k)
-    elapsed = time.perf_counter() - start
-    print(f"partitioner        : {partitioner.name}")
-    print(f"graph              : {graph!r}")
-    print(f"replication factor : {replication_factor(assignment):.4f}")
-    print(f"edge balance alpha : {edge_balance(assignment):.4f}")
-    print(f"vertex balance     : {vertex_balance(assignment):.4f}")
-    print(f"run-time           : {elapsed:.3f}s")
-    if args.output:
-        from repro.graph.partition_io import write_assignment
-
-        write_assignment(assignment, args.output)
-        print(f"assignment written : {args.output} (+ .meta.json sidecar)")
-    if args.shards_dir:
-        from repro.graph.partition_io import write_partition_edgelists
-
-        paths = write_partition_edgelists(assignment, args.shards_dir)
-        print(f"shards written     : {len(paths)} binary edge lists in "
-              f"{args.shards_dir}")
-    return 0
-
-
-def _job_spec_from_args(args: argparse.Namespace):
-    """Lower the ``partition`` flag set to a runtime JobSpec.
-
-    A worker run's ``--batch`` falls back to the BSP default.
-    """
-    from repro.runtime.spec import make_job
-    from repro.stream.workers import DEFAULT_WORKER_BATCH
-
-    hep = args.method.upper() == "HEP"
-    options: dict = {}
-    algo_params: dict = {}
-    if hep:
-        algo = "HEP"
-        options.update(
-            tau=args.tau,
-            memory_budget=args.memory_budget,
-            buffer_size=args.buffer_size,
-            spill_dir=args.spill_dir,
-            spill_compression=args.spill_compression,
-        )
-    else:
-        algo = args.method
-        if args.passes is not None:
-            algo_params["passes"] = args.passes
-    if args.workers is not None:
-        options.update(
-            workers=args.workers,
-            batch=(DEFAULT_WORKER_BATCH if args.batch is None
-                   else args.batch),
-        )
+    algo, tau = args.method, args.tau
+    if algo.upper().startswith("HEP-"):
+        if tau is not None:
+            raise ReproError(f"{algo} carries its own tau; drop --tau "
+                             f"or run --algo HEP --tau X")
+        try:
+            algo, tau = "HEP", float(algo.split("-", 1)[1])
+        except ValueError:
+            raise ReproError(f"{args.method!r} is not HEP-<tau>") from None
+    if tau is not None and args.memory_budget is not None:
+        raise ReproError("a fixed tau (--tau or HEP-<tau>) and "
+                         "--memory-budget conflict: the budget exists to "
+                         "select tau (drop one of them)")
+    # Unset flags are None: make_job's defaults apply.
+    options = {name: getattr(args, name)
+               for name in ("chunk_size", "prefetch", "mmap", "workers",
+                            "batch")
+               if getattr(args, name) is not None}
     return make_job(
-        algo, args.graph, args.k,
-        chunk_size=args.chunk_size,
-        prefetch=args.prefetch,
-        mmap=args.mmap,
-        algo_params=algo_params,
+        algo, source, args.k,
+        algo_params={} if args.passes is None else {"passes": args.passes},
+        tau=tau,
+        memory_budget=args.memory_budget,
+        buffer_size=args.buffer_size,
+        spill_dir=args.spill_dir,
+        spill_compression=args.spill_compression,
         **options,
     )
 
 
-def _make_store(args: argparse.Namespace):
-    """The ``--cache`` artifact store, or ``None`` when not asked for."""
-    if args.cache is None:
-        return None
+def _partition_streamed(args: argparse.Namespace) -> int:
+    """Run the flag set as one :func:`~repro.runtime.api.run_job` job
+    and print its report.
+
+    Binary edge files are streamed in chunks and never fully loaded;
+    HEP plans the budgeted two-phase pipeline, a streaming algorithm
+    the three-stage one, and ``--workers N`` runs the streaming phase
+    on BSP worker processes.
+    """
+    from repro.runtime.api import run_job
     from repro.runtime.store import ArtifactStore
 
-    return ArtifactStore(args.cache)
-
-
-def _print_cache(store, result) -> None:
-    """One greppable line reporting the cache outcome of this run."""
-    if store is None:
-        return
-    outcome = "hit" if result.cache_hit else "miss (stored)"
-    print(f"cache              : {outcome} job {result.job_hash[:12]} "
-          f"in {store.root}")
-
-
-def _partition_out_of_core(args: argparse.Namespace) -> int:
-    """Chunked out-of-core partitioning (``--out-of-core``): the flag
-    set is lowered to a :class:`~repro.runtime.spec.JobSpec` and run by
-    :func:`repro.runtime.api.run_job`, so on-disk edge files are never
-    fully loaded.  ``--algo HEP`` (the default) plans the budgeted HEP
-    pipeline; any registered streaming baseline name plans the
-    three-stage streaming pipeline; ``--workers N`` executes on BSP
-    worker processes."""
-    if args.shards_dir:
-        raise ReproError("--shards-dir needs the edge list in memory; "
-                         "rerun without --out-of-core to write shards")
-    if args.workers is not None:
-        return _partition_multi_worker(args)
-    if args.method.upper() == "HEP":
-        return _out_of_core_hep(args)
-    return _out_of_core_baseline(args)
-
-
-def _partition_multi_worker(args: argparse.Namespace) -> int:
-    """``--workers N``: shard-parallel partitioning on worker processes.
-
-    ``--algo HEP`` runs the budgeted HEP pipeline with a multi-process
-    streaming phase; ``--algo HDRF`` streams the whole file as informed
-    HDRF, one worker per shard assignment.  Both are bit-identical to
-    the in-process BSP schedule with the same workers/batch.
-    """
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    if args.batch is not None and args.batch < 1:
-        raise ReproError(f"--batch must be >= 1, got {args.batch}")
-    method = args.method.upper()
-    if method == "HEP":
-        return _multi_worker_hep(args)
-    if method != "HDRF":
-        raise ReproError(
-            f"--workers supports HEP or HDRF (the BSP-parallelizable "
-            f"streaming kernels); got {args.method!r}"
-        )
-    if args.memory_budget is not None:
-        raise ReproError("--memory-budget tunes HEP's tau; multi-worker "
-                         "HDRF has no such knob")
-    if args.buffer_size is not None:
-        raise ReproError("--buffer-size applies to HEP's streaming phase")
-    if args.spill_dir is not None or args.spill_compression is not None:
-        raise ReproError("--spill-dir/--spill-compression apply to HEP's "
-                         "h2h spill; multi-worker HDRF never spills")
-    if args.mmap:
-        raise ReproError("--mmap applies to the single-reader drivers; "
-                         "workers stream their shard slices with buffered "
-                         "reads, so it has no effect here")
-    from repro.runtime.api import run_job
-
-    store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
-    print(f"partitioner        : {result.algorithm} (out-of-core, "
-          f"{args.workers} worker processes)")
+    source = _job_source(args.graph)
+    spec = _job_spec_from_args(args, source)
+    store = None if args.cache is None else ArtifactStore(args.cache)
+    result = run_job(spec, source=source, store=store)
+    name = result.algorithm if result.tau is None else f"HEP-{result.tau:g}"
+    shape = f", {spec.workers} worker processes" if spec.workers else ""
+    print(f"partitioner        : {name} (out-of-core{shape})")
     print(f"source             : {args.graph} "
           f"(n={result.num_vertices:,} m={result.num_edges:,})")
     print(f"chunk size         : {result.chunk_size:,} edges")
+    if spec.input.prefetch:
+        print(f"prefetch depth     : {spec.input.prefetch} chunks")
+    if result.buffer_size:
+        print(f"buffer size        : {result.buffer_size:,} edges")
+    if result.projected_memory_bytes is not None:
+        print(f"memory budget      : {spec.memory_budget:,} bytes "
+              f"(projected {result.projected_memory_bytes:,})")
+    if result.breakdown is not None:
+        print(f"h2h edges spilled  : {result.breakdown.num_h2h_edges:,} "
+              f"({result.spill_bytes:,} bytes on disk"
+              + (f", {spec.spill_compression}" if spec.spill_compression
+                 else "")
+              + ")")
+    if result.passes > 1:
+        print(f"stream passes      : {result.passes}")
     _print_worker_report(result.report)
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
+    if store is not None:
+        outcome = "hit" if result.cache_hit else "miss (stored)"
+        print(f"cache              : {outcome} job {result.job_hash[:12]} "
+              f"in {store.root}")
+    print(f"replication factor : {result.replication_factor:.4f}")
+    print(f"edge balance alpha : {result.edge_balance:.4f}")
+    print(f"run-time           : {result.runtime_s:.3f}s")
+    _write_outputs(args, result.parts, result.k, result.num_vertices,
+                   source if isinstance(source, Graph) else None)
     return 0
 
 
 def _print_worker_report(report) -> None:
-    """Shared superstep summary of the multi-worker runs."""
+    """Superstep summary of a multi-worker run."""
     if report is None:
         return
     print(f"bsp schedule       : {report.workers} workers x batch "
@@ -309,97 +255,80 @@ def _print_worker_report(report) -> None:
           f"send {timings.coordinator_send_s:.3f}s")
 
 
-def _multi_worker_hep(args: argparse.Namespace) -> int:
-    """HEP with a multi-process streaming phase (``--algo HEP --workers``)."""
-    from repro.runtime.api import run_job
-
-    store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
-    print(f"partitioner        : HEP-{result.tau:g} (out-of-core, "
-          f"{args.workers} worker processes)")
-    print(f"source             : {args.graph} "
-          f"(n={result.num_vertices:,} m={result.num_edges:,})")
-    print(f"chunk size         : {result.chunk_size:,} edges")
-    if result.projected_memory_bytes is not None:
-        print(f"memory budget      : {args.memory_budget:,} bytes "
-              f"(projected {result.projected_memory_bytes:,})")
-    print(f"h2h edges spilled  : {result.breakdown.num_h2h_edges:,} "
-          f"({result.spill_bytes:,} bytes on disk)")
-    _print_worker_report(result.report)
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
-    return 0
+#: partition flags only the streamed methods read (each defaults to None)
+_STREAMED_FLAGS = (
+    "chunk_size", "tau", "memory_budget", "buffer_size", "spill_dir",
+    "spill_compression", "prefetch", "mmap", "passes", "workers", "batch",
+    "cache",
+)
 
 
-def _print_ooc_quality(result, output: str | None) -> None:
-    """Shared tail of the out-of-core reports: quality, timing, output."""
-    print(f"replication factor : {result.replication_factor:.4f}")
-    print(f"edge balance alpha : {result.edge_balance:.4f}")
-    print(f"run-time           : {result.runtime_s:.3f}s")
-    if output:
-        np.savetxt(output, result.parts, fmt="%d")
-        print(f"assignment written : {output}")
+def _partition_in_memory(args: argparse.Namespace) -> int:
+    """The methods without a streaming form (NE, NE++, SNE, DNE, METIS,
+    ADWISE, Random): load the graph, partition it, report."""
+    from repro.experiments.common import make_partitioner
 
-
-def _out_of_core_hep(args: argparse.Namespace) -> int:
-    """The budgeted HEP pipeline through the runtime."""
-    from repro.runtime.api import run_job
-
-    store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
-    print(f"partitioner        : HEP-{result.tau:g} (out-of-core)")
-    print(f"source             : {args.graph} "
-          f"(n={result.num_vertices:,} m={result.num_edges:,})")
-    print(f"chunk size         : {result.chunk_size:,} edges")
-    if args.prefetch:
-        print(f"prefetch depth     : {args.prefetch} chunks")
-    if result.buffer_size:
-        print(f"buffer size        : {result.buffer_size:,} edges")
-    if result.projected_memory_bytes is not None:
-        print(f"memory budget      : {args.memory_budget:,} bytes "
-              f"(projected {result.projected_memory_bytes:,})")
-    print(f"h2h edges spilled  : {result.breakdown.num_h2h_edges:,} "
-          f"({result.spill_bytes:,} bytes on disk"
-          + (f", {args.spill_compression}" if args.spill_compression else "")
-          + ")")
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
-    return 0
-
-
-def _out_of_core_baseline(args: argparse.Namespace) -> int:
-    """A registered streaming baseline through the runtime."""
-    from repro.runtime.api import run_job
-    from repro.runtime.registry import algorithm_names
-
-    names = algorithm_names()
-    if args.method.lower() not in {name.lower() for name in names}:
+    try:
+        partitioner = make_partitioner(args.method)
+    except KeyError as exc:
+        raise ReproError(exc.args[0]) from None
+    given = [
+        f"--{name.replace('_', '-')}"
+        for name in _STREAMED_FLAGS
+        if getattr(args, name) is not None
+    ]
+    if given:
         raise ReproError(
-            f"--out-of-core supports HEP or a streaming baseline "
-            f"({', '.join(names)}); got {args.method!r}"
+            f"{', '.join(given)}: streamed methods only (HEP or a streaming "
+            f"algorithm, `--algo help`); {partitioner.name} partitions the "
+            f"graph in memory"
         )
-    if args.memory_budget is not None:
-        raise ReproError("--memory-budget tunes HEP's tau; the streaming "
-                         "baselines have no such knob (their state is "
-                         "O(n + k) by construction)")
-    if args.buffer_size is not None:
-        raise ReproError("--buffer-size applies to HEP's streaming phase")
-    if args.spill_dir is not None or args.spill_compression is not None:
-        raise ReproError("--spill-dir/--spill-compression apply to HEP's "
-                         "h2h spill; the baselines never spill")
-    store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
-    print(f"partitioner        : {result.algorithm} (out-of-core)")
-    print(f"source             : {args.graph} "
-          f"(n={result.num_vertices:,} m={result.num_edges:,})")
-    print(f"chunk size         : {result.chunk_size:,} edges")
-    if args.prefetch:
-        print(f"prefetch depth     : {args.prefetch} chunks")
-    if result.passes > 1:
-        print(f"stream passes      : {result.passes}")
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
+    graph = _load_graph(args.graph)
+    start = time.perf_counter()
+    assignment = partitioner.partition(graph, args.k)
+    elapsed = time.perf_counter() - start
+    print(f"partitioner        : {partitioner.name}")
+    print(f"graph              : {graph!r}")
+    print(f"replication factor : {replication_factor(assignment):.4f}")
+    print(f"edge balance alpha : {edge_balance(assignment):.4f}")
+    print(f"vertex balance     : {vertex_balance(assignment):.4f}")
+    print(f"run-time           : {elapsed:.3f}s")
+    _write_outputs(args, assignment.parts, args.k, graph.num_vertices, graph)
     return 0
+
+
+def _write_outputs(args, parts, k: int, num_vertices: int,
+                   graph: Graph | None = None) -> None:
+    """``--output`` (ids + ``.meta.json`` sidecar) and ``--shards-dir``.
+
+    A streamed binary or manifest source is never loaded; ``--shards-dir``
+    alone loads it, and refuses a file whose duplicate edges the stream
+    kept (the parts would not line up with the graph's edges).
+    """
+    if args.shards_dir and graph is None:
+        graph = _load_graph(args.graph)
+        if graph.num_edges != len(parts):
+            raise ReproError(
+                f"--shards-dir: {args.graph} streamed {len(parts):,} edges "
+                f"but holds {graph.num_edges:,} distinct ones; a streamed "
+                f"binary edge file or manifest must be canonical (no "
+                f"duplicate edges)"
+            )
+    if args.output:
+        from repro.graph.partition_io import write_parts
+
+        write_parts(parts, args.output, k=k, num_vertices=num_vertices,
+                    graph_name=_graph_name(args.graph))
+        print(f"assignment written : {args.output} (+ .meta.json sidecar)")
+    if args.shards_dir:
+        from repro.graph.partition_io import write_partition_edgelists
+        from repro.partition.base import PartitionAssignment
+
+        paths = write_partition_edgelists(
+            PartitionAssignment(graph, k, parts), args.shards_dir
+        )
+        print(f"shards written     : {len(paths)} binary edge lists in "
+              f"{args.shards_dir}")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -626,11 +555,13 @@ def _trace_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _source_parent(graph_help: str, chunk_help: str) -> argparse.ArgumentParser:
+def _source_parent(graph_help: str, chunk_help: str,
+                   chunk_default: int | None = DEFAULT_CHUNK_SIZE,
+                   ) -> argparse.ArgumentParser:
     """Parent parser: the edge-source flag group (positional + chunking)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("graph", help=graph_help)
-    parent.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+    parent.add_argument("--chunk-size", type=int, default=chunk_default,
                         help=chunk_help)
     return parent
 
@@ -648,11 +579,13 @@ def _partition_parents() -> list[argparse.ArgumentParser]:
     return [
         _source_parent(
             "dataset name or edge-list file",
-            "edges per I/O chunk for --out-of-core",
+            f"edges per I/O chunk of a streamed method "
+            f"(default {DEFAULT_CHUNK_SIZE})",
+            chunk_default=None,
         ),
         _budget_parent(
             "byte budget for HEP's in-memory structures; "
-            "selects tau from the §4.4 grid (overrides --tau)"
+            "selects tau from the §4.4 grid (conflicts with --tau)"
         ),
     ]
 
@@ -661,9 +594,10 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     """The algorithm/pipeline flags ``partition`` and ``job describe`` share."""
     p.add_argument("--k", type=int, default=32, help="number of partitions")
     p.add_argument("--method", "--algo", dest="method", default="HEP",
-                   help=f"HEP or one of {', '.join(PARTITIONER_FACTORIES)}; "
-                        "with --out-of-core: HEP or any registered "
-                        "streaming baseline (`--algo help` lists them)")
+                   help=f"HEP, HEP-<tau> or one of "
+                        f"{', '.join(PARTITIONER_FACTORIES)}; HEP and the "
+                        "registered streaming algorithms (`--algo help`) "
+                        "stream the edge file, the rest load it")
     p.add_argument("--tau", type=float, default=None,
                    help="HEP degree threshold factor (default 10.0)")
     p.add_argument("--buffer-size", type=int, default=None,
@@ -672,18 +606,17 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
                    help="directory for the h2h spill file (default: temp dir)")
     p.add_argument("--spill-compression", choices=("zlib",), default=None,
                    help="compress the h2h spill file (zlib frames)")
-    p.add_argument("--prefetch", type=int, default=0, metavar="DEPTH",
+    p.add_argument("--prefetch", type=int, default=None, metavar="DEPTH",
                    help="background-prefetch this many decoded chunks "
-                        "ahead of the consumer (0 = off)")
-    p.add_argument("--mmap", action="store_true",
+                        "ahead of the consumer (default 0 = off)")
+    p.add_argument("--mmap", action="store_true", default=None,
                    help="serve chunks zero-copy from an np.memmap "
-                        "(uncompressed binary edge files, with "
-                        "--out-of-core)")
+                        "(uncompressed binary edge files)")
     p.add_argument("--passes", type=int, default=None,
                    help="stream passes for --algo Restreaming (default 3)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="partition with N worker processes, one per shard "
-                        "assignment (--out-of-core; --algo HEP or HDRF)")
+                        "assignment (--algo HEP or HDRF)")
     p.add_argument("--batch", type=int, default=None, metavar="B",
                    help="edges each worker scores per BSP superstep "
                         "(default 8; requires --workers)")
@@ -696,9 +629,11 @@ def _cmd_job_describe(args: argparse.Namespace) -> int:
     flag set — the canonical one-line JSON, the sha256 content hash,
     and the stage pipeline the planner would run.
     """
+    from repro.runtime.api import validate_spec
     from repro.runtime.plan import plan_job
 
-    spec = _job_spec_from_args(args)
+    spec = _job_spec_from_args(args, _job_source(args.graph))
+    validate_spec(spec)
     print(spec.canonical_json())
     print(f"content hash       : {spec.content_hash()}")
     print(f"pipeline           : {plan_job(spec).describe()}")
@@ -717,12 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_partition_flags(p)
     p.add_argument("--output", help="write per-edge partition ids here")
     p.add_argument("--shards-dir", help="write one binary edge list per partition")
-    p.add_argument("--out-of-core", action="store_true",
-                   help="partition through the chunked streaming subsystem "
-                        "(repro.stream); edge files are never fully loaded")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="content-addressed result cache: identical "
-                        "out-of-core jobs are served from DIR without "
+                        "streamed jobs are served from DIR without "
                         "recomputing (keyed by job hash + input digest)")
     p.set_defaults(func=_cmd_partition)
 

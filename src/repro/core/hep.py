@@ -96,17 +96,11 @@ class HepPartitioner(Partitioner):
         instead of the NE++ hand-over — the ablation isolating the value
         of Section 3.3's informed streaming (loads still carry over so
         the balance constraint stays sound).
-    spill_dir:
-        When set (and streaming is HDRF), the h2h edges are written to a
-        disk-backed :class:`~repro.stream.spill.SpillFile` in this
-        directory and phase two reads them back in bounded chunks — the
-        paper's "external memory edge file" made literal.
-    buffer_size:
-        Buffered scoring window for the HDRF streaming phase
-        (:mod:`repro.stream.buffered`); ``None`` keeps the classic
-        per-edge stream order.
-    chunk_size:
-        Spill read-back chunk size (only meaningful with ``spill_dir``).
+
+    This is the in-memory reference of the paper's algorithm: the
+    runtime's ``hep`` pipeline (:func:`repro.runtime.run_job`), which
+    spills the h2h edges to disk under a byte budget, is held
+    bit-identical to it by the equivalence suites.
     """
 
     def __init__(
@@ -118,18 +112,11 @@ class HepPartitioner(Partitioner):
         streaming: str = "hdrf",
         informed: bool = True,
         seed: int = 0,
-        spill_dir: str | None = None,
-        buffer_size: int | None = None,
-        chunk_size: int = 1 << 16,
     ) -> None:
         if tau <= 0:
             raise ConfigurationError(f"tau must be positive, got {tau}")
         if streaming not in ("hdrf", "greedy", "random"):
             raise ConfigurationError(f"unknown streaming strategy {streaming!r}")
-        if (spill_dir is not None or buffer_size is not None) and streaming != "hdrf":
-            raise ConfigurationError(
-                "spill_dir/buffer_size require the HDRF streaming phase"
-            )
         self.tau = tau
         self.alpha = alpha
         self.lam = lam
@@ -137,9 +124,6 @@ class HepPartitioner(Partitioner):
         self.streaming = streaming
         self.informed = informed
         self.seed = seed
-        self.spill_dir = spill_dir
-        self.buffer_size = buffer_size
-        self.chunk_size = chunk_size
         self.last_breakdown: HepPhaseBreakdown | None = None
         label = "inf" if np.isinf(tau) else f"{tau:g}"
         self.name = f"HEP-{label}"
@@ -186,7 +170,9 @@ class HepPartitioner(Partitioner):
                     replicas=np.zeros_like(phase_one.secondary),
                     loads=phase_one.loads,
                 )
-            self._hdrf_phase(state, h2h, parts)
+            hdrf_stream(
+                state, h2h.pairs, h2h.eids, parts, lam=self.lam, eps=self.eps
+            )
         elif self.streaming == "greedy":
             state = StreamingState.informed(
                 graph, k, capacity,
@@ -205,37 +191,6 @@ class HepPartitioner(Partitioner):
                 seed=self.seed,
             )
         return parts
-
-    def _hdrf_phase(self, state: StreamingState, h2h, parts: np.ndarray) -> None:
-        """HDRF streaming, optionally disk-spilled and/or buffered."""
-        if self.spill_dir is None and self.buffer_size is None:
-            hdrf_stream(
-                state, h2h.pairs, h2h.eids, parts, lam=self.lam, eps=self.eps
-            )
-            return
-        from repro.stream.buffered import stream_chunks_through_hdrf
-        from repro.stream.spill import SpillFile
-
-        if self.spill_dir is not None:
-            with SpillFile(dir=self.spill_dir) as spill:
-                spill.append(h2h.pairs, h2h.eids)
-                stream_chunks_through_hdrf(
-                    state,
-                    spill.chunks(self.chunk_size),
-                    parts,
-                    lam=self.lam,
-                    eps=self.eps,
-                    buffer_size=self.buffer_size,
-                )
-        else:
-            stream_chunks_through_hdrf(
-                state,
-                [(h2h.pairs, h2h.eids)],
-                parts,
-                lam=self.lam,
-                eps=self.eps,
-                buffer_size=self.buffer_size,
-            )
 
     @staticmethod
     def _greedy_stream(graph, state: StreamingState, h2h, parts: np.ndarray) -> None:

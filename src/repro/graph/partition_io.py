@@ -22,6 +22,7 @@ __all__ = [
     "write_assignment",
     "read_assignment",
     "write_partition_edgelists",
+    "write_parts",
 ]
 
 
@@ -34,16 +35,33 @@ def write_assignment(
     canonical edge order; the ``.meta.json`` sidecar carries ``k``, edge
     and vertex counts so a reader can validate alignment.
     """
+    write_parts(
+        assignment.parts, path, k=assignment.k,
+        num_vertices=assignment.graph.num_vertices,
+        graph_name=assignment.graph.name,
+    )
+
+
+def write_parts(
+    parts: np.ndarray,
+    path: str | os.PathLike,
+    *,
+    k: int,
+    num_vertices: int,
+    graph_name: str = "",
+) -> None:
+    """:func:`write_assignment` without a Graph: a streamed run knows
+    ``k`` and ``n`` from its counting pass and never holds the edges."""
     path = Path(path)
-    np.savetxt(path, assignment.parts, fmt="%d")
+    np.savetxt(path, parts, fmt="%d")
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     sidecar.write_text(
         json.dumps(
             {
-                "k": assignment.k,
-                "num_edges": assignment.graph.num_edges,
-                "num_vertices": assignment.graph.num_vertices,
-                "graph_name": assignment.graph.name,
+                "k": int(k),
+                "num_edges": int(len(parts)),
+                "num_vertices": int(num_vertices),
+                "graph_name": graph_name,
             },
             indent=2,
         ),

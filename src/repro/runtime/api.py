@@ -24,8 +24,15 @@ from repro.runtime.plan import pipeline_kind, plan_job
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec
 from repro.runtime.stages import RunContext
+from repro.stream.workers import DEFAULT_WORKER_BATCH
 
 __all__ = ["run_job", "validate_spec"]
+
+#: spec fields only the HEP pipeline reads (tau selection, h2h spill,
+#: phase-two scoring window)
+_HEP_ONLY = (
+    "tau", "memory_budget", "buffer_size", "spill_dir", "spill_compression",
+)
 
 
 def validate_spec(spec: JobSpec) -> None:
@@ -34,18 +41,44 @@ def validate_spec(spec: JobSpec) -> None:
     :func:`run_job` calls this before planning, and the service calls it
     at submit time, so a bad knob fails before any stage runs or any
     worker is spawned.  ``workers == 0`` selects the in-process
-    executor; ``workers >= 1`` the worker pool.
+    executor; ``workers >= 1`` the worker pool.  This is the one copy
+    of the rules about which knobs a job may combine: the CLI, the
+    service and the Python API all end here.
     """
     hep = pipeline_kind(spec) == "hep"
+    if not hep:
+        # A knob the pipeline ignores would still split the cache.
+        given = [name for name in _HEP_ONLY
+                 if getattr(spec, name) is not None]
+        if given:
+            raise ConfigurationError(
+                f"HEP-only knob(s) {', '.join(given)} on a {spec.algo!r} "
+                f"job: only HEP has a tau, budget, spill or scoring window"
+            )
     if spec.tau is not None and spec.tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {spec.tau}")
     if spec.memory_budget is not None and spec.memory_budget < 1:
         raise ConfigurationError(
             f"memory_budget must be positive, got {spec.memory_budget}"
         )
+    if spec.input.prefetch < 0:
+        raise ConfigurationError(
+            f"prefetch must be >= 0, got {spec.input.prefetch}"
+        )
+    if spec.input.mmap and spec.input.kind != "path":
+        raise ConfigurationError(
+            f"mmap maps a binary edge file on disk; a {spec.input.kind!r} "
+            f"input is already in memory"
+        )
     if spec.workers < 0:
         raise ConfigurationError(
             f"workers must be >= 0, got {spec.workers}"
+        )
+    if spec.workers == 0 and spec.batch != DEFAULT_WORKER_BATCH:
+        # batch is hashed, so an ignored batch would split the cache.
+        raise ConfigurationError(
+            f"batch sizes a worker's BSP superstep; an in-process job "
+            f"(workers=0) has none, got batch={spec.batch}"
         )
     if spec.workers >= 1:
         if spec.batch < 1:
@@ -54,6 +87,16 @@ def validate_spec(spec: JobSpec) -> None:
             raise ConfigurationError(
                 "buffer_size is a sequential scoring window; it cannot "
                 "combine with multi-worker streaming"
+            )
+        if not hep and spec.algo.upper() != "HDRF":
+            raise ConfigurationError(
+                f"workers run HEP or HDRF (the BSP-parallelizable "
+                f"streaming kernels); got {spec.algo!r}"
+            )
+        if not hep and spec.input.kind != "path":
+            raise ConfigurationError(
+                f"multi-worker HDRF streams an edge file or shard "
+                f"manifest on disk; got a {spec.input.kind!r} input"
             )
     if spec.k < 2:
         if hep:

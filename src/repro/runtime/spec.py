@@ -40,7 +40,7 @@ from repro.stream.workers import DEFAULT_WORKER_BATCH, DEFAULT_WORKER_TIMEOUT
 __all__ = ["InputSpec", "JobSpec", "SPEC_VERSION", "make_job"]
 
 #: bumped whenever the canonical form changes meaning (invalidates caches)
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 
 #: phase-two HDRF defaults shared by every HEP driver signature
 _HEP_PARAM_DEFAULTS = (("eps", 1.0), ("lam", 1.1))
@@ -145,8 +145,7 @@ class JobSpec:
     input: InputSpec
     algo_params: tuple[tuple[str, object], ...] = ()
     alpha: float = 1.0
-    seed: int = 0
-    # HEP knobs (ignored by the streaming pipeline)
+    # HEP knobs (validate_spec rejects them on any other job)
     tau: float | None = None
     memory_budget: int | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
@@ -207,7 +206,6 @@ class JobSpec:
                 name: _plain(value) for name, value in self.algo_params
             },
             "alpha": float(self.alpha),
-            "seed": int(self.seed),
             "tau": None if self.tau is None else float(self.tau),
             "memory_budget": (
                 None if self.memory_budget is None else int(self.memory_budget)
@@ -248,7 +246,6 @@ class JobSpec:
             },
             "k": int(self.k),
             "alpha": float(self.alpha),
-            "seed": int(self.seed),
             "input": self.input.semantic_dict(),
             "tau": None if self.tau is None else float(self.tau),
             "memory_budget": (

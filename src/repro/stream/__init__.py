@@ -32,7 +32,7 @@ paper compares against:
   OS processes each stream their shard assignment against a shared
   replica/load snapshot under the BSP schedule, bit-identical to the
   in-process :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream`
-  (``partition --workers N --out-of-core``).  The snapshot lives in one
+  (``partition --workers N``).  The snapshot lives in one
   :mod:`multiprocessing.shared_memory` segment
   (:class:`~repro.parallel.shm.SharedState`) served to a warm
   :class:`PersistentWorkerPool`.

@@ -37,13 +37,14 @@ class TestParser:
         assert args.tau is None  # resolved to 10.0 on the HEP paths
 
     def test_tau_rejected_for_non_hep(self, small_graph_file, capsys):
-        for extra in ([], ["--out-of-core"]):
+        for algo, message in (("HDRF", "HEP-only knob(s) tau"),
+                              ("NE", "--tau: streamed methods only")):
             rc = main(
                 ["partition", str(small_graph_file), "--k", "2",
-                 "--algo", "HDRF", "--tau", "2.0", *extra]
+                 "--algo", algo, "--tau", "2.0"]
             )
             assert rc == 1
-            assert "--tau applies only" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
 
 class TestPartitionCommand:
@@ -63,7 +64,8 @@ class TestPartitionCommand:
     def test_partition_writes_output(self, small_graph_file, tmp_path, capsys):
         out_file = tmp_path / "parts.txt"
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--output", str(out_file)]
+            ["partition", str(small_graph_file), "--k", "2",
+             "--output", str(out_file)]
         )
         assert rc == 0
         parts = np.loadtxt(out_file, dtype=int)
@@ -115,7 +117,7 @@ class TestOtherCommands:
 class TestOutOfCore:
     def test_partition_out_of_core_file(self, small_graph_file, capsys):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--tau", "1.0", "--chunk-size", "3"]
         )
         assert rc == 0
@@ -126,24 +128,25 @@ class TestOutOfCore:
     def test_partition_out_of_core_matches_in_memory(
         self, small_graph_file, tmp_path, capsys
     ):
-        in_mem = tmp_path / "a.txt"
+        """The streamed CLI run equals the in-memory HEP reference."""
+        from repro.core import HepPartitioner
+        from repro.graph import read_text_edgelist
+
         ooc = tmp_path / "b.txt"
         assert main(
             ["partition", str(small_graph_file), "--k", "2", "--tau", "1.0",
-             "--output", str(in_mem)]
+             "--chunk-size", "2", "--output", str(ooc)]
         ) == 0
-        assert main(
-            ["partition", str(small_graph_file), "--k", "2", "--tau", "1.0",
-             "--out-of-core", "--chunk-size", "2", "--output", str(ooc)]
-        ) == 0
-        assert np.array_equal(
-            np.loadtxt(in_mem, dtype=int), np.loadtxt(ooc, dtype=int)
-        )
+        graph = read_text_edgelist(small_graph_file)
+        expected = HepPartitioner(tau=1.0).partition(graph, 2).parts
+        assert np.array_equal(np.loadtxt(ooc, dtype=int), expected)
+        meta = json.loads(Path(f"{ooc}.meta.json").read_text())
+        assert meta == {"k": 2, "num_edges": 8, "num_vertices": 5,
+                        "graph_name": "g"}
 
     def test_partition_memory_budget(self, capsys):
         rc = main(
-            ["partition", "LJ", "--k", "4", "--out-of-core",
-             "--memory-budget", "1000000"]
+            ["partition", "LJ", "--k", "4", "--memory-budget", "1000000"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -153,32 +156,55 @@ class TestOutOfCore:
         self, small_graph_file, tmp_path, capsys
     ):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--tau", "0.5", "--buffer-size", "4",
              "--spill-dir", str(tmp_path / "spill")]
         )
         assert rc == 0
         assert "buffer size" in capsys.readouterr().out
 
-    def test_out_of_core_rejects_non_streaming_methods(
-        self, small_graph_file, capsys
+    def test_hep_tau_spelling_runs_as_hep(
+        self, small_graph_file, tmp_path, capsys
     ):
-        """In-memory-only algorithms (NE, METIS, ...) still error out."""
+        """``--algo HEP-<tau>`` is ``--algo HEP --tau <tau>``."""
+        spelled = tmp_path / "spelled.txt"
+        flagged = tmp_path / "flagged.txt"
+        assert main(["partition", str(small_graph_file), "--k", "2",
+                     "--algo", "HEP-1", "--output", str(spelled)]) == 0
+        assert "HEP-1 (out-of-core)" in capsys.readouterr().out
+        assert main(["partition", str(small_graph_file), "--k", "2",
+                     "--tau", "1", "--output", str(flagged)]) == 0
+        assert spelled.read_bytes() == flagged.read_bytes()
+        rc = main(["partition", str(small_graph_file), "--k", "2",
+                   "--algo", "HEP-1", "--tau", "2"])
+        assert rc == 1
+        assert "carries its own tau" in capsys.readouterr().err
+
+    def test_out_of_core_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["partition", "OK", "--out-of-core"])
+
+    def test_out_of_core_rejects_non_streaming_methods(
+        self, small_graph_file, tmp_path, capsys
+    ):
+        """In-memory-only algorithms (NE, METIS, ...) reject every
+        streamed-only flag in one error."""
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
-             "--method", "NE"]
+            ["partition", str(small_graph_file), "--k", "2", "--method", "NE",
+             "--buffer-size", "4", "--spill-dir", str(tmp_path / "spill")]
         )
         assert rc == 1
-        assert "streaming baseline" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--buffer-size, --spill-dir: streamed methods only" in err
 
 
 class TestOutOfCoreBaselines:
-    """`partition --algo <name> --out-of-core` drives any baseline."""
+    """`partition --algo <name>` streams any baseline out of core."""
 
     @pytest.mark.parametrize("algo", ["HDRF", "greedy", "DBH", "Grid"])
     def test_each_baseline_runs(self, small_graph_file, capsys, algo):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--algo", algo, "--chunk-size", "3"]
         )
         assert rc == 0
@@ -189,7 +215,7 @@ class TestOutOfCoreBaselines:
         self, small_graph_file, capsys
     ):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--algo", "restreaming", "--passes", "2", "--prefetch", "2"]
         )
         assert rc == 0
@@ -198,23 +224,23 @@ class TestOutOfCoreBaselines:
         assert "prefetch depth" in out
 
     def test_baseline_matches_in_memory(self, small_graph_file, tmp_path):
-        in_mem = tmp_path / "a.txt"
-        ooc = tmp_path / "b.txt"
-        assert main(
-            ["partition", str(small_graph_file), "--k", "2",
-             "--method", "HDRF", "--output", str(in_mem)]
-        ) == 0
-        assert main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
-             "--algo", "HDRF", "--chunk-size", "2", "--output", str(ooc)]
-        ) == 0
-        assert np.array_equal(
-            np.loadtxt(in_mem, dtype=int), np.loadtxt(ooc, dtype=int)
-        )
+        """Each streamed baseline equals its in-memory partitioner."""
+        from repro.experiments.common import make_partitioner
+        from repro.graph import read_text_edgelist
+
+        graph = read_text_edgelist(small_graph_file)
+        for algo in ("HDRF", "Greedy", "DBH", "Grid", "Restreaming"):
+            ooc = tmp_path / f"{algo}.txt"
+            assert main(
+                ["partition", str(small_graph_file), "--k", "2",
+                 "--algo", algo, "--chunk-size", "2", "--output", str(ooc)]
+            ) == 0
+            expected = make_partitioner(algo).partition(graph, 2).parts
+            assert np.array_equal(np.loadtxt(ooc, dtype=int), expected)
 
     def test_budget_rejected_for_baselines(self, small_graph_file, capsys):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--algo", "DBH", "--memory-budget", "100000"]
         )
         assert rc == 1
@@ -222,7 +248,7 @@ class TestOutOfCoreBaselines:
 
     def test_spill_flags_rejected_for_baselines(self, small_graph_file, capsys):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--algo", "HDRF", "--spill-compression", "zlib"]
         )
         assert rc == 1
@@ -230,7 +256,7 @@ class TestOutOfCoreBaselines:
 
     def test_hep_spill_compression_and_prefetch(self, small_graph_file, capsys):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--tau", "0.5", "--spill-compression", "zlib", "--prefetch", "2"]
         )
         assert rc == 0
@@ -238,14 +264,15 @@ class TestOutOfCoreBaselines:
 
     def test_prefetch_requires_out_of_core(self, small_graph_file, capsys):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--prefetch", "2"]
+            ["partition", str(small_graph_file), "--k", "2", "--method", "NE",
+             "--prefetch", "2"]
         )
         assert rc == 1
-        assert "--out-of-core" in capsys.readouterr().err
+        assert "--prefetch: streamed methods only" in capsys.readouterr().err
 
     def test_negative_prefetch_rejected(self, small_graph_file, capsys):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+            ["partition", str(small_graph_file), "--k", "2",
              "--prefetch", "-2"]
         )
         assert rc == 1
@@ -263,8 +290,7 @@ class TestExtsortCommand:
         assert rc == 0
         assert "sort runs" in capsys.readouterr().out
         assert out.exists() and out.stat().st_size == src.stat().st_size
-        assert main(["partition", str(out), "--k", "4", "--out-of-core",
-                     "--algo", "HDRF"]) == 0
+        assert main(["partition", str(out), "--k", "4", "--algo", "HDRF"]) == 0
 
     def test_extsort_unknown_source(self, capsys):
         rc = main(["extsort", "missing-thing", "out.bin"])
@@ -291,10 +317,10 @@ class TestShardedCli:
         assert rc == 0
         assert "3 shards" in capsys.readouterr().out
         assert main(["partition", str(manifest), "--k", "4",
-                     "--out-of-core", "--algo", "HDRF"]) == 0
+                     "--algo", "HDRF"]) == 0
         # The manifest also feeds the in-memory path.
         assert main(["partition", str(manifest), "--k", "4",
-                     "--method", "DBH"]) == 0
+                     "--method", "NE"]) == 0
 
     def test_sharded_export_compressed(self, tmp_path, capsys):
         manifest = tmp_path / "lj.manifest.json"
@@ -304,7 +330,7 @@ class TestShardedCli:
         assert rc == 0
         assert "zlib" in capsys.readouterr().out
         assert main(["partition", str(manifest), "--k", "4",
-                     "--out-of-core", "--tau", "1.0"]) == 0
+                     "--tau", "1.0"]) == 0
 
     def test_compress_requires_sharded_format(self, capsys):
         rc = main(["datasets", "--export", "LJ", "--format", "binary",
@@ -322,7 +348,7 @@ class TestShardedCli:
         assert rc == 0
         assert "shards" in capsys.readouterr().out
         assert main(["partition", str(manifest), "--k", "4",
-                     "--out-of-core", "--algo", "Greedy"]) == 0
+                     "--algo", "Greedy"]) == 0
 
     def test_extsort_compress_requires_shards(self, tmp_path, capsys):
         src = tmp_path / "lj.bin"
@@ -337,30 +363,30 @@ class TestShardedCli:
         src = tmp_path / "lj.bin"
         assert main(["datasets", "--export", "LJ", "--format", "binary",
                      "--output", str(src)]) == 0
-        rc = main(["partition", str(src), "--k", "4", "--out-of-core",
+        rc = main(["partition", str(src), "--k", "4",
                    "--algo", "HDRF", "--mmap"])
         assert rc == 0
         assert "replication factor" in capsys.readouterr().out
 
     def test_mmap_requires_out_of_core(self, small_graph_file, capsys):
-        rc = main(["partition", str(small_graph_file), "--k", "2", "--mmap"])
+        rc = main(["partition", str(small_graph_file), "--k", "2",
+                   "--method", "NE", "--mmap"])
         assert rc == 1
-        assert "--out-of-core" in capsys.readouterr().err
+        assert "--mmap: streamed methods only" in capsys.readouterr().err
 
     def test_text_named_edges_errors(self, tmp_path, capsys):
         """Regression: a text edge list named *.edges used to be parsed
         as binary and silently partition garbage."""
         path = tmp_path / "snap.edges"
         path.write_text("0 1\n1 2\n2 0\n")
-        rc = main(["partition", str(path), "--k", "2", "--out-of-core",
-                   "--algo", "HDRF"])
+        rc = main(["partition", str(path), "--k", "2", "--algo", "HDRF"])
         assert rc == 1
         assert "text" in capsys.readouterr().err
 
 
 class TestInMemoryRestreaming:
     def test_passes_honored_in_memory(self, small_graph_file, capsys):
-        """Regression: --passes must reach the in-memory partitioner."""
+        """Regression: --passes must reach the Restreaming partitioner."""
         rc = main(
             ["partition", str(small_graph_file), "--k", "2",
              "--method", "Restreaming", "--passes", "5"]
@@ -370,13 +396,12 @@ class TestInMemoryRestreaming:
 
     def test_passes_rejected_for_other_methods(self, small_graph_file, capsys):
         """Regression: --passes must not be silently dropped elsewhere."""
-        for extra in ([], ["--out-of-core"]):
-            rc = main(
-                ["partition", str(small_graph_file), "--k", "2",
-                 "--algo", "HDRF", "--passes", "5", *extra]
-            )
-            assert rc == 1
-            assert "Restreaming" in capsys.readouterr().err
+        rc = main(
+            ["partition", str(small_graph_file), "--k", "2",
+             "--algo", "HDRF", "--passes", "5"]
+        )
+        assert rc == 1
+        assert "Restreaming" in capsys.readouterr().err
 
 
 class TestDatasetsExport:
@@ -395,8 +420,7 @@ class TestDatasetsExport:
         out = tmp_path / "lj.txt"
         assert main(["datasets", "--export", "LJ", "--format", "text",
                      "--output", str(out)]) == 0
-        rc = main(["partition", str(out), "--k", "4", "--out-of-core",
-                   "--tau", "1.0"])
+        rc = main(["partition", str(out), "--k", "4", "--tau", "1.0"])
         assert rc == 0
 
     def test_export_unknown_dataset_errors(self, capsys):
@@ -405,21 +429,34 @@ class TestDatasetsExport:
 
     def test_memory_budget_requires_out_of_core(self, small_graph_file, capsys):
         rc = main(
-            ["partition", str(small_graph_file), "--k", "2",
+            ["partition", str(small_graph_file), "--k", "2", "--method", "NE",
              "--memory-budget", "1000000"]
         )
         assert rc == 1
-        assert "--out-of-core" in capsys.readouterr().err
-
-    def test_shards_dir_rejected_out_of_core(
-        self, small_graph_file, tmp_path, capsys
-    ):
-        rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
-             "--shards-dir", str(tmp_path / "shards")]
+        assert "--memory-budget: streamed methods only" in (
+            capsys.readouterr().err
         )
-        assert rc == 1
-        assert "shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["HEP", "HDRF"])
+    def test_shards_dir_from_a_streamed_method(
+        self, small_graph_file, tmp_path, capsys, algo
+    ):
+        """A streamed run loads the graph only to cut it into shards."""
+        from repro.graph import read_binary_edgelist, read_text_edgelist
+
+        shards = tmp_path / "shards"
+        out = tmp_path / "parts.txt"
+        rc = main(
+            ["partition", str(small_graph_file), "--k", "2", "--algo", algo,
+             "--output", str(out), "--shards-dir", str(shards)]
+        )
+        assert rc == 0
+        assert "shards written     : 2" in capsys.readouterr().out
+        graph = read_text_edgelist(small_graph_file)
+        parts = np.loadtxt(out, dtype=int)
+        for p in range(2):
+            shard = read_binary_edgelist(shards / f"part-{p:05d}.bin")
+            assert np.array_equal(shard.edges, graph.edges[parts == p])
 
     def test_in_memory_hep_accepts_stream_params(
         self, small_graph_file, tmp_path, capsys
@@ -437,6 +474,104 @@ class TestDatasetsExport:
         )
         assert rc == 1
         assert "HEP" in capsys.readouterr().err
+
+
+#: a text edge list as external ones come: a self-loop, a duplicate and
+#: a reversed duplicate among the 8 edges of ``small_graph_file``
+NON_CANONICAL_TEXT = (
+    "0 1\n1 2\n2 2\n2 1\n2 3\n3 0\n0 2\n1 3\n0 1\n4 0\n4 1\n"
+)
+
+
+class TestNonCanonicalInput:
+    """Every method reads a text file as the canonical graph
+    (:meth:`Graph.from_edges`); streamed binary files must be canonical."""
+
+    @pytest.fixture()
+    def messy_text(self, tmp_path):
+        path = tmp_path / "messy.txt"
+        path.write_text(NON_CANONICAL_TEXT)
+        return path
+
+    @pytest.mark.parametrize("algo", [
+        "HEP", "HEP-1", "HDRF", "Greedy", "DBH", "Grid", "Restreaming", "NE",
+    ])
+    def test_text_file_is_canonicalized(
+        self, messy_text, tmp_path, capsys, algo
+    ):
+        from repro.core import HepPartitioner
+        from repro.experiments.common import make_partitioner
+        from repro.graph import read_text_edgelist
+
+        out = tmp_path / "parts.txt"
+        assert main(["partition", str(messy_text), "--k", "2",
+                     "--algo", algo, "--output", str(out)]) == 0
+        graph = read_text_edgelist(messy_text)
+        assert graph.num_edges == 8
+        reference = (HepPartitioner() if algo == "HEP"
+                     else make_partitioner(algo))
+        expected = reference.partition(graph, 2).parts
+        assert np.array_equal(np.loadtxt(out, dtype=int), expected)
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        assert meta["num_edges"] == 8 and meta["graph_name"] == "messy"
+
+    def test_binary_self_loop_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "loop.bin"
+        np.array([[0, 1], [1, 1], [2, 3]], dtype="<u4").tofile(path)
+        rc = main(["partition", str(path), "--k", "2"])
+        assert rc == 1
+        assert "self-loop" in capsys.readouterr().err
+
+    def test_shards_dir_from_a_streamed_binary(
+        self, small_graph_file, tmp_path, capsys
+    ):
+        from repro.graph import read_binary_edgelist, read_text_edgelist
+
+        graph = read_text_edgelist(small_graph_file)
+        path = tmp_path / "g.bin"
+        write_binary_edgelist(graph, path)
+        shards = tmp_path / "shards"
+        out = tmp_path / "parts.txt"
+        assert main(["partition", str(path), "--k", "2", "--algo", "DBH",
+                     "--output", str(out), "--shards-dir", str(shards)]) == 0
+        parts = np.loadtxt(out, dtype=int)
+        for p in range(2):
+            shard = read_binary_edgelist(shards / f"part-{p:05d}.bin")
+            assert np.array_equal(shard.edges, graph.edges[parts == p])
+
+    def test_shards_dir_refuses_duplicate_binary_edges(
+        self, tmp_path, capsys
+    ):
+        """The stream keeps a duplicate the loaded graph drops, so the
+        parts cannot be cut into shards."""
+        path = tmp_path / "dup.bin"
+        np.array([[0, 1], [1, 2], [2, 1], [2, 3]], dtype="<u4").tofile(path)
+        shards = tmp_path / "shards"
+        rc = main(["partition", str(path), "--k", "2", "--algo", "HDRF",
+                   "--shards-dir", str(shards)])
+        assert rc == 1
+        assert "4 edges but holds 3 distinct" in capsys.readouterr().err
+        assert not shards.exists()
+
+    def test_mmap_on_a_text_file_is_an_error(self, small_graph_file, capsys):
+        rc = main(["partition", str(small_graph_file), "--k", "2", "--mmap"])
+        assert rc == 1
+        assert "mmap" in capsys.readouterr().err
+
+    def test_batch_without_worker_processes(self, small_graph_file, capsys):
+        """``--workers 0`` runs in process, where a batch means nothing."""
+        rc = main(["partition", str(small_graph_file), "--k", "2",
+                   "--algo", "HDRF", "--workers", "0", "--batch", "16"])
+        assert rc == 1
+        assert "workers=0" in capsys.readouterr().err
+
+    def test_chunk_size_is_a_streamed_flag(self, small_graph_file, capsys):
+        rc = main(["partition", str(small_graph_file), "--k", "2",
+                   "--algo", "NE", "--chunk-size", "4"])
+        assert rc == 1
+        assert "--chunk-size: streamed methods only" in (
+            capsys.readouterr().err
+        )
 
 
 @pytest.mark.slow
@@ -463,7 +598,7 @@ class TestMultiWorkerCli:
     def test_workers_hdrf_on_manifest(self, sharded_manifest, capsys):
         rc = main(
             ["partition", str(sharded_manifest.path), "--k", "4",
-             "--out-of-core", "--algo", "HDRF", "--workers", "2"]
+             "--algo", "HDRF", "--workers", "2"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -473,7 +608,7 @@ class TestMultiWorkerCli:
 
     def test_workers_hep_on_binary(self, binary_file, capsys):
         rc = main(
-            ["partition", str(binary_file), "--k", "4", "--out-of-core",
+            ["partition", str(binary_file), "--k", "4",
              "--workers", "2", "--batch", "16", "--tau", "1.0"]
         )
         assert rc == 0
@@ -484,7 +619,7 @@ class TestMultiWorkerCli:
         out_path = tmp_path / "parts.txt"
         rc = main(
             ["partition", str(sharded_manifest.path), "--k", "4",
-             "--out-of-core", "--algo", "HDRF", "--workers", "2",
+             "--algo", "HDRF", "--workers", "2",
              "--output", str(out_path)]
         )
         assert rc == 0
@@ -494,28 +629,28 @@ class TestMultiWorkerCli:
 
     def test_workers_requires_out_of_core(self, binary_file, capsys):
         rc = main(["partition", str(binary_file), "--k", "4",
-                   "--workers", "2"])
+                   "--method", "METIS", "--workers", "2"])
         assert rc == 1
-        assert "--workers requires --out-of-core" in capsys.readouterr().err
+        assert "--workers: streamed methods only" in capsys.readouterr().err
 
     def test_batch_requires_workers(self, binary_file, capsys):
         rc = main(["partition", str(binary_file), "--k", "4",
-                   "--out-of-core", "--batch", "8"])
+                   "--batch", "8"])
         assert rc == 1
         assert "--batch" in capsys.readouterr().err
 
     def test_workers_rejects_other_algos(self, binary_file, capsys):
         rc = main(["partition", str(binary_file), "--k", "4",
-                   "--out-of-core", "--algo", "DBH", "--workers", "2"])
+                   "--algo", "DBH", "--workers", "2"])
         assert rc == 1
         assert "HEP or HDRF" in capsys.readouterr().err
 
     def test_workers_hdrf_rejects_hep_only_flags(self, binary_file, capsys):
         rc = main(["partition", str(binary_file), "--k", "4",
-                   "--out-of-core", "--algo", "HDRF", "--workers", "2",
+                   "--algo", "HDRF", "--workers", "2",
                    "--memory-budget", "100000"])
         assert rc == 1
-        assert "tunes HEP's tau" in capsys.readouterr().err
+        assert "HEP-only" in capsys.readouterr().err
 
     def test_workers_matches_no_workers_oracle(self, sharded_manifest, tmp_path, capsys):
         """CLI multi-worker output equals the in-process BSP schedule."""
@@ -528,7 +663,7 @@ class TestMultiWorkerCli:
         out_path = tmp_path / "parts.txt"
         rc = main(
             ["partition", str(sharded_manifest.path), "--k", "4",
-             "--out-of-core", "--algo", "HDRF", "--workers", "4",
+             "--algo", "HDRF", "--workers", "4",
              "--batch", "4", "--output", str(out_path)]
         )
         assert rc == 0
@@ -574,7 +709,7 @@ class TestScanCommand:
         parts_file = tmp_path / "parts.txt"
         rc = main(
             ["partition", str(path), "--k", "2", "--algo", "HDRF",
-             "--out-of-core", "--output", str(parts_file)]
+             "--output", str(parts_file)]
         )
         assert rc == 0
         partition_out = capsys.readouterr().out
@@ -647,7 +782,7 @@ class TestTraceFlags:
         parts_a = tmp_path / "a.txt"
         parts_b = tmp_path / "b.txt"
         rc = main(["partition", str(small_graph_file), "--k", "2",
-                   "--out-of-core", "--output", str(parts_a),
+                   "--output", str(parts_a),
                    "--trace", str(trace)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -662,7 +797,7 @@ class TestTraceFlags:
 
         # Tracing never changes the assignment.
         rc = main(["partition", str(small_graph_file), "--k", "2",
-                   "--out-of-core", "--output", str(parts_b)])
+                   "--output", str(parts_b)])
         assert rc == 0
         capsys.readouterr()
         np.testing.assert_array_equal(

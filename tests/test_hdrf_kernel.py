@@ -205,10 +205,10 @@ def _golden_parts(case: str, graph, tmp_path) -> np.ndarray:
         return HdrfPartitioner(shuffle=True, seed=3).partition(graph, 65).parts
     if case == "hep_tau1":
         return HepPartitioner(tau=1.0).partition(graph, 8).parts
-    if case == "hep_tau1_buffered":
-        return HepPartitioner(tau=1.0, buffer_size=16).partition(graph, 8).parts
     path = tmp_path / "golden.bin"
     write_binary_edgelist(graph, path)
+    if case == "hep_tau1_buffered":
+        return run_job(make_job("HEP", path, 8, tau=1.0, buffer_size=16)).parts
     return run_job(make_job("HEP", path, 8, tau=1.0, chunk_size=256)).parts
 
 

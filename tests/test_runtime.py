@@ -27,6 +27,7 @@ from repro.graph.generators import chung_lu
 from repro.obs import Tracer, set_tracer
 from repro.runtime import (
     PIPELINES,
+    SPEC_VERSION,
     ArtifactStore,
     InputSpec,
     JobSpec,
@@ -37,6 +38,7 @@ from repro.runtime import (
     plan_job,
     register_streaming_algorithm,
     run_job,
+    validate_spec,
 )
 
 #: pins the canonical hash of ``make_job("HDRF", "OK", 4)``.  If this
@@ -44,7 +46,11 @@ from repro.runtime import (
 #: SPEC_VERSION (which re-keys every cache entry) instead of editing
 #: the constant.
 GOLDEN_HDRF_HASH = (
-    "b8f8d8b1fdaa40c9dd581e4bfcb808c6958901ff7d1e2631024b6daf68fe9c8e"
+    "1ce533bcff1a976e6ce180742eaa6a0f0accc16b187258b1d1443fce6e4fee44"
+)
+#: the same pin for a HEP spec, ``make_job("HEP", "OK", 8, tau=1.0)``
+GOLDEN_HEP_HASH = (
+    "133d7acf965946d4edfc027793941d96a2c41b162b27c5bc5d34e04c9e8691ba"
 )
 
 
@@ -74,6 +80,20 @@ def _traced_run(spec, **kwargs):
 class TestContentHash:
     def test_golden_hash_is_stable(self):
         assert make_job("HDRF", "OK", 4).content_hash() == GOLDEN_HDRF_HASH
+
+    def test_golden_hep_hash_is_stable(self):
+        spec = make_job("HEP", "OK", 8, tau=1.0)
+        assert spec.content_hash() == GOLDEN_HEP_HASH
+
+    def test_spec_has_no_job_level_seed(self):
+        """The reader's ``seed`` lives on the input, hashed once."""
+        spec = make_job("HDRF", "OK", 4, order="random", seed=3)
+        assert "seed" not in spec.to_dict()
+        assert "seed" not in spec.semantic_dict()
+        assert spec.semantic_dict()["input"]["seed"] == 3
+        assert spec.semantic_dict()["version"] == SPEC_VERSION == 2
+        reseeded = make_job("HDRF", "OK", 4, order="random", seed=4)
+        assert reseeded.content_hash() != spec.content_hash()
 
     def test_algo_case_does_not_split_the_hash(self):
         assert make_job("hdrf", "OK", 4).content_hash() == GOLDEN_HDRF_HASH
@@ -149,6 +169,58 @@ class TestPlanner:
 
     def test_pipelines_registry_covers_both_kinds(self):
         assert set(PIPELINES) == {"hep", "stream"}
+
+
+class TestValidateSpec:
+    """One ConfigurationError per job the pipeline cannot run as asked."""
+
+    @pytest.mark.parametrize("knobs", [
+        {"tau": 1.0},
+        {"memory_budget": 100_000},
+        {"tau": 1.0, "buffer_size": 8, "spill_compression": "zlib"},
+        {"spill_dir": "spills"},
+    ])
+    def test_hep_only_knobs_on_a_streaming_job(self, edge_file, knobs):
+        spec = make_job("HDRF", edge_file, 4, **knobs)
+        with pytest.raises(ConfigurationError, match="HEP-only"):
+            validate_spec(spec)
+        with pytest.raises(ConfigurationError, match="HEP-only"):
+            run_job(spec)
+
+    def test_hep_only_knobs_are_fine_on_hep(self, edge_file):
+        validate_spec(make_job(
+            "HEP", edge_file, 4, tau=1.0, buffer_size=8,
+            spill_compression="zlib",
+        ))
+
+    @pytest.mark.parametrize("algo", ["DBH", "Greedy", "Grid", "Restreaming"])
+    def test_workers_need_hep_or_hdrf(self, edge_file, algo):
+        with pytest.raises(ConfigurationError, match="HEP or HDRF"):
+            validate_spec(make_job(algo, edge_file, 4, workers=2, batch=8))
+
+    def test_multi_worker_hdrf_needs_a_file(self, graph):
+        spec = make_job("HDRF", graph, 4, workers=2)
+        with pytest.raises(ConfigurationError, match="on disk"):
+            validate_spec(spec)
+        with pytest.raises(ConfigurationError, match="on disk"):
+            run_job(spec, source=graph)
+
+    def test_negative_prefetch(self, edge_file):
+        with pytest.raises(ConfigurationError, match="prefetch"):
+            validate_spec(make_job("HDRF", edge_file, 4, prefetch=-1))
+
+    def test_batch_needs_workers(self, edge_file):
+        """An in-process job has no superstep; a batch would split the
+        cache for the same parts."""
+        with pytest.raises(ConfigurationError, match="workers=0"):
+            validate_spec(make_job("HDRF", edge_file, 4, batch=16))
+        validate_spec(make_job("HDRF", edge_file, 4, workers=0))
+
+    def test_mmap_needs_a_file(self, graph):
+        with pytest.raises(ConfigurationError, match="mmap"):
+            validate_spec(make_job("HDRF", graph, 4, mmap=True))
+        with pytest.raises(ConfigurationError, match="mmap"):
+            validate_spec(make_job("HEP", "OK", 4, mmap=True))
 
 
 class TestRegistry:
@@ -302,22 +374,23 @@ class TestJobCli:
         assert "count -> stream -> metrics" in out
 
     def test_algo_help_lists_the_registry(self, capsys):
-        rc = main(["partition", "OK", "--algo", "help", "--out-of-core"])
+        rc = main(["partition", "OK", "--algo", "help"])
         assert rc == 0
         out = capsys.readouterr().out
         for name in ("HEP", "HDRF", "Restreaming"):
             assert name in out
 
     def test_cache_requires_out_of_core(self, edge_file, tmp_path, capsys):
+        """Only streamed (out-of-core) methods produce cacheable jobs."""
         rc = main(
-            ["partition", str(edge_file), "--k", "2",
+            ["partition", str(edge_file), "--k", "2", "--method", "NE",
              "--cache", str(tmp_path / "c")]
         )
         assert rc == 1
-        assert "--cache requires --out-of-core" in capsys.readouterr().err
+        assert "--cache: streamed methods only" in capsys.readouterr().err
 
     def test_cli_cache_hit_on_second_run(self, edge_file, tmp_path, capsys):
-        argv = ["partition", str(edge_file), "--k", "4", "--out-of-core",
+        argv = ["partition", str(edge_file), "--k", "4",
                 "--method", "HDRF", "--cache", str(tmp_path / "c")]
         assert main(argv) == 0
         first = capsys.readouterr().out

@@ -206,6 +206,27 @@ class TestSubmitValidation:
 
         asyncio.run(scenario())
 
+    def test_knobs_the_algorithm_ignores_are_400(self, edge_file, tmp_path):
+        """HEP-only knobs or workers on a job that cannot use them."""
+        async def scenario():
+            _, manager, _, app = await _service(tmp_path / "c", start=False)
+            for extra, needle in (
+                ({"tau": 1.0}, "HEP-only"),
+                ({"buffer_size": 8, "spill_compression": "zlib"},
+                 "HEP-only"),
+                ({"algo": "DBH", "workers": 2}, "HEP or HDRF"),
+                ({"batch": 16}, "workers=0"),
+            ):
+                status, doc = await _asgi_json(
+                    app, "POST", "/jobs", _payload(edge_file, **extra)
+                )
+                assert status == 400
+                assert needle in doc["error"]
+            assert manager.executions == 0
+            await manager.shutdown()
+
+        asyncio.run(scenario())
+
     def test_queue_full_is_503(self, edge_file, tmp_path):
         async def scenario():
             _, manager, _, app = await _service(

@@ -168,21 +168,6 @@ class TestBuffered:
         )
         assert np.array_equal(plain.parts, one.parts)
 
-    def test_hep_partitioner_spill_and_buffer_params(self, skewed_graph, tmp_path):
-        base = HepPartitioner(tau=1.0).partition(skewed_graph, 4)
-        spilled = HepPartitioner(
-            tau=1.0, spill_dir=str(tmp_path), chunk_size=91
-        ).partition(skewed_graph, 4)
-        assert np.array_equal(base.parts, spilled.parts)
-        buffered = HepPartitioner(tau=1.0, buffer_size=32).partition(
-            skewed_graph, 4
-        )
-        assert buffered.num_unassigned == 0
-
-    def test_bad_buffer_config_rejected(self, skewed_graph):
-        with pytest.raises(ConfigurationError):
-            HepPartitioner(streaming="greedy", buffer_size=8)
-
 
 class TestErrors:
     def test_empty_stream(self, tmp_path):
